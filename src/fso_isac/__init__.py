@@ -4,7 +4,6 @@ from .config import SPEED_OF_LIGHT, OfdmConfig
 from .channel import ChannelState, LinkParams, sample_turbulence, scintillation_index, stationary_gains
 from .clipping import (
     ClippingStats,
-    PriceTable,
     SnrProfile,
     autocorrelation,
     bussgang_gain,

@@ -81,16 +81,6 @@ class DualTrace:
 
     mu: list = field(default_factory=list)
     eta: list = field(default_factory=list)
-    expanded_brackets: int = 0
-
-    def residual_curve(self) -> np.ndarray:
-        """Normalized distance to the final iterate, one value per j."""
-        mu = np.asarray(self.mu)
-        eta = np.asarray(self.eta)
-        mu_star, eta_star = mu[-1], eta[-1]
-        mu_den = abs(mu[0] - mu_star) or 1.0
-        eta_den = abs(eta[0] - eta_star) or 1.0
-        return np.abs(mu - mu_star) / mu_den + np.abs(eta - eta_star) / eta_den
 
 
 @dataclass
@@ -261,14 +251,13 @@ def _sense_allocation(gamma_c, gamma_s, mu, eta, p_max):
 def _bisect(g, lo, hi, target, increasing, max_iter=100):
     """Solve g(x) = target for monotone g on [lo, hi].
 
-    Returns (x, expanded) where expanded counts one-shot geometric bracket
-    growth applied when the endpoint signs disagree with monotonicity.  If
-    g jumps across the target (degenerate eta = 0 sub-problems are step
-    functions), the upper endpoint of the final bracket is returned: the
-    smallest x whose value has crossed the target.  For continuous g this
+    The bracket grows once, geometrically, when the endpoint signs
+    disagree with monotonicity.  If g jumps across the target (degenerate
+    eta = 0 sub-problems are step functions), the upper endpoint of the
+    final bracket is returned: the smallest x whose value has crossed the
+    target.  For continuous g this
     coincides with the root to machine precision.
     """
-    expanded = 0
     g_lo, g_hi = g(lo), g(hi)
     lo_ok = g_lo <= target if increasing else g_lo >= target
     hi_ok = g_hi >= target if increasing else g_hi <= target
@@ -276,24 +265,23 @@ def _bisect(g, lo, hi, target, increasing, max_iter=100):
         hi += max(hi - lo, abs(hi), 1.0)
         g_hi = g(hi)
         hi_ok = g_hi >= target if increasing else g_hi <= target
-        expanded = 1
     if not lo_ok:
         # left endpoint already past the root: the root is at or below lo
-        return lo, expanded
+        return lo
     if not hi_ok:
-        return hi, expanded
+        return hi
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
         g_mid = g(mid)
         if g_mid == target:
-            return mid, expanded
+            return mid
         if (g_mid < target) == increasing:
             lo = mid
         else:
             hi = mid
-    return hi, expanded
+    return hi
 
 
 def waterfill_comm(
@@ -321,7 +309,7 @@ def waterfill_comm(
     def total(mu):
         return float(np.sum(_comm_allocation(gamma_c, gamma_s, mu, eta, p_max)))
 
-    mu, _ = _bisect(total, 0.0, mu_hi, target_sum, increasing=False)
+    mu = _bisect(total, 0.0, mu_hi, target_sum, increasing=False)
     p = _comm_allocation(gamma_c, gamma_s, mu, eta, p_max)
     if abs(p.sum() - target_sum) > POWER_SUM_TOL:
         raise RuntimeError("water-filling budget bisection failed to converge")
@@ -401,11 +389,10 @@ def dual_iterate_comm(
     trace = DualTrace(mu=[mu], eta=[eta])
     for _ in range(MAX_DUAL_ITER):
         mu_hi = float(np.max(k2gs * eta + gamma_c))
-        mu_new, exp1 = _bisect(lambda m: xi1(m, eta), mu, mu_hi, 0.5, increasing=False)
+        mu_new = _bisect(lambda m: xi1(m, eta), mu, mu_hi, 0.5, increasing=False)
         eta_hi = mu_new / float(np.min(k2gs))
-        eta_new, exp2 = _bisect(lambda e: xi2(mu_new, e), eta, eta_hi, target_info,
-                                increasing=True)
-        trace.expanded_brackets += exp1 + exp2
+        eta_new = _bisect(lambda e: xi2(mu_new, e), eta, eta_hi, target_info,
+                          increasing=True)
         trace.mu.append(mu_new)
         trace.eta.append(eta_new)
         if __debug__:
@@ -425,7 +412,7 @@ def dual_iterate_comm(
             # final budget polish: one more mu-bisection at eta* so the
             # returned allocation meets the power sum to ~1e-13
             mu_hi = float(np.max(k2gs * eta + gamma_c))
-            mu, _ = _bisect(lambda m: xi1(m, eta), 0.0, mu_hi, 0.5, increasing=False)
+            mu = _bisect(lambda m: xi1(m, eta), 0.0, mu_hi, 0.5, increasing=False)
             return DualVariables(mu=mu, eta=eta), trace
     raise DualIterationError("dual iteration exceeded its cap", trace=trace)
 
@@ -452,14 +439,13 @@ def dual_iterate_sense(
     for _ in range(MAX_DUAL_ITER):
         mu_hi = float(np.max(k2gs + gamma_c * eta))
         eta_eval = max(eta, tiny_eta)
-        mu_new, exp1 = _bisect(lambda m: psi1(m, eta_eval), mu, mu_hi, 0.5,
-                               increasing=False)
+        mu_new = _bisect(lambda m: psi1(m, eta_eval), mu, mu_hi, 0.5,
+                         increasing=False)
         eta_hi = float(np.max((p_max + 1.0 / gamma_c) * (mu_new - k2gs)))
         if eta_hi <= eta:
             eta_hi = eta + max(abs(eta), 1.0)
-        eta_new, exp2 = _bisect(lambda e: psi2(mu_new, max(e, tiny_eta)), eta, eta_hi,
-                                target_cap_nats, increasing=True)
-        trace.expanded_brackets += exp1 + exp2
+        eta_new = _bisect(lambda e: psi2(mu_new, max(e, tiny_eta)), eta, eta_hi,
+                          target_cap_nats, increasing=True)
         trace.mu.append(mu_new)
         trace.eta.append(eta_new)
         moved_mu = abs(mu_new - mu) > tol_mu * max(mu_hi - mu, 1e-30)
@@ -472,8 +458,8 @@ def dual_iterate_sense(
         if (not moved_mu and not moved_eta
                 and res1 < 0.25 * DUAL_RESIDUAL_TOL and res2 < 0.25 * DUAL_RESIDUAL_TOL):
             mu_hi = float(np.max(k2gs + gamma_c * eta))
-            mu, _ = _bisect(lambda m: psi1(m, max(eta, tiny_eta)), 0.0, mu_hi, 0.5,
-                            increasing=False)
+            mu = _bisect(lambda m: psi1(m, max(eta, tiny_eta)), 0.0, mu_hi, 0.5,
+                         increasing=False)
             return DualVariables(mu=mu, eta=eta), trace
     raise DualIterationError("dual iteration exceeded its cap", trace=trace)
 

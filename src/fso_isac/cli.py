@@ -249,7 +249,6 @@ def main(argv=None) -> int:
     def common(p):
         p.add_argument("--scenario", required=True, help="scenario JSON path")
         p.add_argument("--out", default=None, help="output directory (or $FSO_ISAC_OUT)")
-        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
 
     p_solve = sub.add_parser("solve", help="solve the scenario's allocation problem")
     common(p_solve)
@@ -264,6 +263,8 @@ def main(argv=None) -> int:
 
     p_verify = sub.add_parser("verify", help="Monte Carlo verification reports")
     common(p_verify)
+    p_verify.add_argument("--seed", type=int, default=None,
+                          help="override the scenario Monte Carlo seed")
     p_verify.add_argument("--trials", type=int, default=None,
                           help="override the scenario trial count")
 

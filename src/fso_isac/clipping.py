@@ -17,8 +17,9 @@ root edge singularity:
     c = (b / sigma_x)^2.
 
 The integrand is smooth and bounded, so fixed-order Gauss-Legendre rules
-evaluate it to near machine precision; a Chebyshev-spaced table in
-theta-space serves the per-lag lookups inside the solvers.
+evaluate it to near machine precision at every lag directly.  The signal
+autocorrelation is even, r_x(n) = r_x(N - n), so the solvers evaluate the
+N/2 + 1 distinct lags and mirror the result onto the rest.
 """
 
 from dataclasses import dataclass
@@ -111,16 +112,6 @@ def _price_core(rho: np.ndarray, c: float, n_gl: int = 192) -> np.ndarray:
     return (half / (2.0 * np.pi)) * _row_dot(g, weights)
 
 
-def _affine_constants(b: float, sigma_x: float, c: float) -> tuple[float, float, float, float]:
-    """(mean_wp, power_wp, C1, C2) with the integral endpoints at high order."""
-    var = sigma_x**2
-    mean_wp, power_wp = clip_moments(b, sigma_x)
-    i_zero, i_var = var * _price_core(np.array([0.0, 1.0]), c, n_gl=384)
-    c2 = mean_wp**2 - i_zero
-    c1 = (power_wp - c2 - i_var) / var
-    return mean_wp, power_wp, c1, c2
-
-
 def price_integral(r: float, b: float, sigma_x: float) -> float:
     """Adaptive-quadrature evaluation of I(r) (absolute error << 1e-10 sigma^2)."""
     if sigma_x <= 0:
@@ -140,47 +131,6 @@ def price_integral(r: float, b: float, sigma_x: float) -> float:
     return var * val
 
 
-class PriceTable:
-    """Chebyshev-spaced cache of I(r) for one (b, sigma_x) pair.
-
-    Nodes are Chebyshev-Lobatto points in theta = arcsin(r/sigma^2), where
-    the integral is analytic; barycentric interpolation then recovers I(r)
-    to well below 1e-8 sigma^2.  Immutable after construction.
-    """
-
-    def __init__(self, b: float, sigma_x: float, degree: int = 512, n_gl: int = 192):
-        if sigma_x <= 0:
-            raise ValueError("sigma_x must be positive")
-        self.var = sigma_x**2
-        self.c = (b / sigma_x) ** 2
-        j = np.arange(degree + 1)
-        y = np.cos(np.pi * j / degree)  # descending from +1 to -1
-        self._psi = (np.pi / 2.0) * y
-        self._values = _price_core(np.sin(self._psi), self.c, n_gl=n_gl)
-        w = np.where(j % 2 == 0, 1.0, -1.0)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        self._weights = w
-
-    def __call__(self, r) -> np.ndarray:
-        """I(r) for a scalar or a vector of lags r.
-
-        Each output depends only on its own lag, not on the batch shape:
-        a lag passed alone and inside a vector gives bit-identical results.
-        """
-        scalar = np.isscalar(r)
-        rho = np.clip(np.atleast_1d(np.asarray(r, dtype=float)) / self.var, -1.0, 1.0)
-        psi = np.arcsin(rho)
-        diff = psi[:, None] - self._psi[None, :]
-        exact_row, exact_col = np.nonzero(diff == 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = self._weights[None, :] / diff
-            out = _row_dot(ratio, self._values) / ratio.sum(axis=1)
-        out[exact_row] = self._values[exact_col]
-        out *= self.var
-        return float(out[0]) if scalar else out
-
-
 def signal_autocorrelation(p_norm: np.ndarray, ac_power: float, n: int) -> np.ndarray:
     """Autocorrelation of the OFDM signal from its power allocation.
 
@@ -194,12 +144,26 @@ def signal_autocorrelation(p_norm: np.ndarray, ac_power: float, n: int) -> np.nd
     return np.fft.ifft(spectrum).real
 
 
-def autocorrelation(
-    b: float,
-    sigma_x: float,
-    r_x: np.ndarray,
-    table: PriceTable | None = None,
-) -> np.ndarray:
+def _r_wp(b: float, sigma_x: float, r: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """(E(w_p), E(w_p^2), R_wp) at the lags r, where r[0] is lag 0.
+
+    R_wp as in `autocorrelation`, with the endpoint integrals I(0) and
+    I(var) at high order.  The caller validates r: `compute_clipping_stats`
+    admits allocations whose r[0] lies up to 2e-9 off var, beyond the
+    domain check of `autocorrelation`.
+    """
+    var = sigma_x**2
+    c = (b / sigma_x) ** 2
+    mean_wp, power_wp = clip_moments(b, sigma_x)
+    i_zero, i_var = var * _price_core(np.array([0.0, 1.0]), c, n_gl=384)
+    c2 = mean_wp**2 - i_zero
+    c1 = (power_wp - c2 - i_var) / var
+    r_wp = var * _price_core(r / var, c) + c1 * r + c2
+    r_wp[0] = power_wp
+    return mean_wp, power_wp, r_wp
+
+
+def autocorrelation(b: float, sigma_x: float, r_x: np.ndarray) -> np.ndarray:
     """Clipping-noise autocorrelation over the lags of r_x.
 
     Lag 0 is pinned to E(w_p^2) exactly; other lags use R_wp = I(r) + C1 r
@@ -211,12 +175,7 @@ def autocorrelation(
         raise ValueError("r_x[0] must equal sigma_x^2")
     if np.any(np.abs(r_x) > var * (1.0 + R_X_DOMAIN_TOL)):
         raise ValueError("every |r_x(n)| must be <= sigma_x^2")
-    if table is None:
-        table = PriceTable(b, sigma_x)
-    mean_wp, power_wp, c1, c2 = _affine_constants(b, sigma_x, table.c)
-    r_wp = table(r_x) + c1 * r_x + c2
-    r_wp[0] = power_wp
-    return r_wp
+    return _r_wp(b, sigma_x, r_x)[2]
 
 
 def clipping_psd(r_wp: np.ndarray) -> np.ndarray:
@@ -233,12 +192,9 @@ class ClippingStats:
     """Clipping-noise statistics for one (bias, allocation) operating point."""
 
     sigma_x2: float
-    lambda_b: float
     bussgang: float
     mean_wp: float
     power_wp: float
-    c1: float
-    c2: float
     r_x: np.ndarray
     r_wp: np.ndarray
     p_wp: np.ndarray
@@ -267,20 +223,16 @@ def compute_clipping_stats(b: float, p_norm: np.ndarray, cfg: OfdmConfig) -> Cli
     n = cfg.n_subcarriers
     var = ac_power / n
     sigma_x = np.sqrt(var)
-    table = PriceTable(b, sigma_x)
-    mean_wp, power_wp, c1, c2 = _affine_constants(b, sigma_x, table.c)
     r_x = signal_autocorrelation(p, ac_power, n)
-    r_wp = table(r_x) + c1 * r_x + c2
-    r_wp[0] = power_wp
+    # r_x is even: evaluate lags 0..N/2 and mirror them onto N/2+1..N-1
+    mean_wp, power_wp, half = _r_wp(b, sigma_x, r_x[: n // 2 + 1])
+    r_wp = np.concatenate([half, half[1 : n - n // 2][::-1]])
     p_wp = clipping_psd(r_wp)
     return ClippingStats(
         sigma_x2=var,
-        lambda_b=-b / sigma_x,
         bussgang=bussgang_gain(b, sigma_x),
         mean_wp=mean_wp,
         power_wp=power_wp,
-        c1=c1,
-        c2=c2,
         r_x=r_x,
         r_wp=r_wp,
         p_wp=p_wp,

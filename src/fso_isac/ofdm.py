@@ -80,11 +80,10 @@ class TimeSignal:
     def n_symbols(self) -> int:
         return self.samples.size // (self.n_fft + self.cp_samples)
 
-    def symbol_cores(self, which: str = "pre_clip") -> np.ndarray:
-        """Per-symbol sample matrix (n_symbols, N) with prefixes stripped."""
-        stream = self.pre_clip if which == "pre_clip" else self.samples
+    def symbol_cores(self) -> np.ndarray:
+        """Pre-clip sample matrix (n_symbols, N) with prefixes stripped."""
         span = self.n_fft + self.cp_samples
-        mat = stream.reshape(self.n_symbols, span)
+        mat = self.pre_clip.reshape(self.n_symbols, span)
         return mat[:, self.cp_samples:]
 
 
@@ -157,8 +156,3 @@ def empirical_clipping_noise(time: TimeSignal, bussgang_k: float) -> np.ndarray:
     if x.shape != time.samples.shape:
         raise ValueError("pre-clip and output streams have mismatched lengths")
     return np.maximum(x + time.bias, 0.0) - time.bias - bussgang_k * x
-
-
-def dump_samples(time: TimeSignal, path) -> None:
-    """Raw little-endian float64 dump of the transmitted stream (debugging)."""
-    time.samples.astype("<f8").tofile(path)

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from fso_isac.channel import ChannelState
 from fso_isac.clipping import (
-    PriceTable,
+    R_X_DOMAIN_TOL,
     _price_core,
     autocorrelation,
     bussgang_gain,
@@ -158,27 +158,15 @@ class TestPriceIntegral:
         assert v2 == pytest.approx(4.0 * v1, rel=1e-10)
 
 
-class TestPriceTable:
-    def test_interpolation_budget(self):
-        for b in (0.0, 0.4, 1.1, 2.5):
-            table = PriceTable(b, 1.0)
-            rng = np.random.default_rng(4)
-            rs = np.concatenate([rng.uniform(-1, 1, 60), [-1.0, 1.0, 0.0]])
-            for r in rs:
-                assert abs(table(float(r)) - price_integral(float(r), b, 1.0)) < 1e-8
-
+class TestPriceCore:
     def test_vector_and_scalar(self):
-        table = PriceTable(0.5, 2.0)
-        rs = np.linspace(-4.0, 4.0, 7)
-        vec = table(rs)
-        assert_allclose(vec, [table(float(r)) for r in rs], rtol=0, atol=1e-15)
-        # a full lag vector as compute_clipping_stats passes it at N = 1024:
+        rho = np.linspace(-1.0, 1.0, 7)
+        vec = _price_core(rho, 0.0625)
+        assert_allclose(vec, [_price_core(float(x), 0.0625)[0] for x in rho],
+                        rtol=0, atol=1e-15)
+        # a full lag vector as compute_clipping_stats builds it at N = 1024:
         # every lag must come out bit-identical to its scalar evaluation
         r_x = signal_autocorrelation(lp_step_allocation(511, 0.02), 1.0, 1024)
-        sigma = np.sqrt(r_x[0])
-        table = PriceTable(0.5 * sigma, sigma)
-        assert_array_equal(table(r_x), [table(float(r)) for r in r_x])
-        # the quadrature behind the table nodes obeys the same contract
         rho = r_x / r_x[0]
         assert_array_equal(
             _price_core(rho, 0.25), [_price_core(float(x), 0.25)[0] for x in rho]
@@ -194,6 +182,41 @@ class TestAutocorrelation:
         r_wp = autocorrelation(0.3, sigma, r_x)
         assert r_wp[0] == pytest.approx(power, rel=1e-12)
         assert_allclose(r_wp[1:], mean**2, rtol=1e-8)
+
+    def test_adaptive_quad_oracle(self):
+        # R_wp = I(r) + C1 r + C2 with every integral by adaptive quadrature
+        rng = np.random.default_rng(4)
+        rs = np.concatenate([rng.uniform(-1, 1, 60), [-1.0, 1.0, 0.0]])
+        r_x = np.concatenate([[1.0], rs])
+        for b in (0.0, 0.4, 1.1, 2.5):
+            mean, power = clip_moments(b, 1.0)
+            c2 = mean**2 - price_integral(0.0, b, 1.0)
+            c1 = power - c2 - price_integral(1.0, b, 1.0)
+            expected = [price_integral(float(r), b, 1.0) + c1 * r + c2 for r in rs]
+            r_wp = autocorrelation(b, 1.0, r_x)
+            assert np.max(np.abs(r_wp[1:] - expected)) < 1e-8
+
+    def test_stats_match_autocorrelation(self, table1_cfg):
+        # compute_clipping_stats evaluates lags 0..N/2 and mirrors them
+        n = table1_cfg.n_subcarriers
+        p = lp_step_allocation(table1_cfg.n_data_subcarriers, 0.005)
+        stats = compute_clipping_stats(0.05, p, table1_cfg)  # b ~ 1.6 sigma_x
+        full = autocorrelation(0.05, np.sqrt(stats.sigma_x2), stats.r_x)
+        assert_array_equal(stats.r_wp[: n // 2 + 1], full[: n // 2 + 1])
+        assert_allclose(stats.r_wp, full, rtol=0, atol=1e-15 * stats.power_wp)
+
+    def test_budget_edge_accepted(self, desk_cfg):
+        # validate_p_norm admits |sum p - 1/2| <= 1e-9, which puts r_x[0] up
+        # to 2e-9 off sigma_x^2: the stats path must accept that allocation
+        # while autocorrelation() keeps its own 1e-9 domain check
+        n_data = desk_cfg.n_data_subcarriers
+        p = np.full(n_data, (0.5 + 0.9e-9) / n_data)
+        stats = compute_clipping_stats(0.1, p, desk_cfg)
+        assert stats.r_x[0] > stats.sigma_x2 * (1.0 + R_X_DOMAIN_TOL)
+        assert stats.r_wp[0] == stats.power_wp
+        assert np.all(np.isfinite(stats.p_wp))
+        with pytest.raises(ValueError):
+            autocorrelation(0.1, np.sqrt(stats.sigma_x2), stats.r_x)
 
     def test_even_symmetry(self, desk_cfg):
         p = lp_step_allocation(desk_cfg.n_data_subcarriers, 0.02)
