@@ -6,9 +6,10 @@ coordinate descent alternates a golden-section search over the DC bias
 (clipping statistics recomputed at every candidate) with a convex
 subcarrier sub-problem solved in closed form from its KKT conditions.  The
 sub-problem splits into cases: unconstrained water-filling (A) or sensing
-LP (D), the feasibility probe (B/E), and the coupled case (C/F) where two
-dual variables are found by alternating bisections that approach the
-optimum monotonically from below.
+LP (D), the feasibility probe (B/E), and the coupled case (C/F) with two
+dual variables: for each floor dual eta the budget level mu(eta) spends the
+power exactly, and a bracketed root-find on eta returns the feasible end of
+its final bracket, so the floor holds by construction.
 
 Internally the capacity constraint is handled in nats so the KKT allocation
 rules keep their clean algebraic form; reported spectral efficiencies are
@@ -19,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .clipping import SnrProfile
 from .config import OfdmConfig
@@ -38,8 +40,9 @@ CASE_A, CASE_B, CASE_C = "A", "B", "C"
 CASE_D, CASE_E, CASE_F = "D", "E", "F"
 
 BIAS_TOL_FACTOR = 1e-4
-POWER_SUM_TOL = 1e-10
+POWER_SUM_TOL = 1e-12
 DUAL_RESIDUAL_TOL = 1e-8
+FLOOR_SLACK = 1e-10  # relative overshoot of the floor at which the eta search stops
 MAX_OUTER_BCD = 50
 MAX_DUAL_ITER = 1000
 ACTIVE_SLACK = 1e-12
@@ -58,7 +61,8 @@ class DivergenceAborted(Exception):
 
 
 class DualIterationError(Exception):
-    """The alternating dual bisection exceeded its iteration cap."""
+    """The root-find on eta exceeded MAX_DUAL_ITER evaluations; `trace`
+    holds the evaluations made."""
 
     def __init__(self, message, trace=None):
         super().__init__(message)
@@ -77,7 +81,7 @@ class DualVariables:
 
 @dataclass
 class DualTrace:
-    """Iterates of the alternating bisection, mu[j] / eta[j] from j = 0."""
+    """One (mu(eta), eta) pair per outer evaluation, in evaluation order."""
 
     mu: list = field(default_factory=list)
     eta: list = field(default_factory=list)
@@ -228,12 +232,22 @@ def solve_bias(
     return b_star, {"evals": evals + 17, "grid_fallback": fallback}
 
 
+def _fill(mu, scale, shift, gamma_c, p_max):
+    """Shared KKT rule p = {scale / max(mu - shift, scale / (p_max + 1/g_c)) - 1/g_c}^+.
+
+    scale = 1, shift = eta k^2 g_s is the xi_0 (comm) rule; scale = eta,
+    shift = k^2 g_s is the psi_0 (sense) rule.  The level floor caps p at
+    p_max, and a level at or above scale g_c gives p = 0.
+    """
+    inv_gc = 1.0 / gamma_c
+    level = np.maximum(mu - shift, scale / (p_max + inv_gc))
+    return np.clip(scale / level - inv_gc, 0.0, p_max)
+
+
 def _comm_allocation(gamma_c, gamma_s, mu, eta, p_max):
     """xi_0 rule: p = {1/max(mu - eta k^2 g_s, 1/(p_max + 1/g_c)) - 1/g_c}^+."""
     k2gs = _subcarrier_weights(gamma_s.size) * gamma_s
-    floor = 1.0 / (p_max + 1.0 / gamma_c)
-    xi0 = np.maximum(mu - eta * k2gs, floor)
-    return np.maximum(1.0 / xi0 - 1.0 / gamma_c, 0.0)
+    return _fill(mu, 1.0, eta * k2gs, gamma_c, p_max)
 
 
 def _sense_allocation(gamma_c, gamma_s, mu, eta, p_max):
@@ -241,47 +255,27 @@ def _sense_allocation(gamma_c, gamma_s, mu, eta, p_max):
     if eta <= 0:
         raise ValueError("psi_0 rule needs eta > 0; the eta = 0 limit is the sensing LP")
     k2gs = _subcarrier_weights(gamma_s.size) * gamma_s
-    floor = 1.0 / (p_max + 1.0 / gamma_c)
-    with np.errstate(over="ignore"):
-        psi0 = np.maximum((mu - k2gs) / eta, floor)
-        out = np.maximum(1.0 / psi0 - 1.0 / gamma_c, 0.0)
-    return out
+    return _fill(mu, eta, k2gs, gamma_c, p_max)
 
 
-def _bisect(g, lo, hi, target, increasing, max_iter=100):
-    """Solve g(x) = target for monotone g on [lo, hi].
+def _budget_level(scale, shift, gamma_c, p_max, target_sum=0.5):
+    """Level mu at which the shared rule spends exactly target_sum.
 
-    The bracket grows once, geometrically, when the endpoint signs
-    disagree with monotonicity.  If g jumps across the target (degenerate
-    eta = 0 sub-problems are step functions), the upper endpoint of the
-    final bracket is returned: the smallest x whose value has crossed the
-    target.  For continuous g this
-    coincides with the root to machine precision.
+    sum p(mu) falls monotonically from n p_max (every level at its floor)
+    to 0 (every level at or above scale g_c); Brent's method finds the
+    crossing to a few ulps of mu.  Returns (mu, p).
     """
-    g_lo, g_hi = g(lo), g(hi)
-    lo_ok = g_lo <= target if increasing else g_lo >= target
-    hi_ok = g_hi >= target if increasing else g_hi <= target
-    if not hi_ok:
-        hi += max(hi - lo, abs(hi), 1.0)
-        g_hi = g(hi)
-        hi_ok = g_hi >= target if increasing else g_hi <= target
-    if not lo_ok:
-        # left endpoint already past the root: the root is at or below lo
-        return lo
-    if not hi_ok:
-        return hi
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        g_mid = g(mid)
-        if g_mid == target:
-            return mid
-        if (g_mid < target) == increasing:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    lo = float(np.min(shift + scale / (p_max + 1.0 / gamma_c)))
+    hi = float(np.max(shift + scale * gamma_c))
+
+    def excess(mu):
+        return float(np.sum(_fill(mu, scale, shift, gamma_c, p_max))) - target_sum
+
+    mu = brentq(excess, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+    p = _fill(mu, scale, shift, gamma_c, p_max)
+    if abs(p.sum() - target_sum) > POWER_SUM_TOL:
+        raise RuntimeError("budget level failed to meet the power sum")
+    return mu, p
 
 
 def waterfill_comm(
@@ -291,9 +285,9 @@ def waterfill_comm(
     p_max: float,
     target_sum: float = 0.5,
 ):
-    """Capped water-filling at fixed eta: bisect mu until sum p = target.
+    """Capped water-filling at fixed eta: the xi_0 level mu with sum p = target.
 
-    Returns (p_norm, mu); the budget is met within 1e-10.
+    Returns (p_norm, mu); the budget is met within POWER_SUM_TOL.
     """
     gamma_c = np.asarray(gamma_c, dtype=float)
     gamma_s = np.asarray(gamma_s, dtype=float)
@@ -304,15 +298,7 @@ def waterfill_comm(
     if gamma_c.size * p_max < target_sum:
         raise ValueError("infeasible target: caps sum below the power budget")
     k2gs = _subcarrier_weights(gamma_s.size) * gamma_s
-    mu_hi = float(np.max(gamma_c + eta * k2gs))
-
-    def total(mu):
-        return float(np.sum(_comm_allocation(gamma_c, gamma_s, mu, eta, p_max)))
-
-    mu = _bisect(total, 0.0, mu_hi, target_sum, increasing=False)
-    p = _comm_allocation(gamma_c, gamma_s, mu, eta, p_max)
-    if abs(p.sum() - target_sum) > POWER_SUM_TOL:
-        raise RuntimeError("water-filling budget bisection failed to converge")
+    mu, p = _budget_level(1.0, eta * k2gs, gamma_c, p_max, target_sum)
     return p, mu
 
 
@@ -339,29 +325,61 @@ def sensing_lp(gamma_s: np.ndarray, p_max: float) -> np.ndarray:
     return p
 
 
-def _xi_pair(gamma_c, gamma_s, p_max):
-    k2gs = _subcarrier_weights(gamma_s.size) * gamma_s
+def _traced(solve_at, trace):
+    """Wrap solve_at(eta) -> (S, mu) so each call is one recorded, capped
+    outer evaluation."""
 
-    def xi1(mu, eta):
-        return float(np.sum(_comm_allocation(gamma_c, gamma_s, mu, eta, p_max)))
+    def evaluate(eta):
+        if len(trace.eta) >= MAX_DUAL_ITER or not math.isfinite(eta):
+            raise DualIterationError(
+                f"dual root-find exceeded {MAX_DUAL_ITER} eta evaluations", trace=trace
+            )
+        s, mu = solve_at(eta)
+        trace.mu.append(mu)
+        trace.eta.append(eta)
+        return s, mu
 
-    def xi2(mu, eta):
-        return float(np.sum(k2gs * _comm_allocation(gamma_c, gamma_s, mu, eta, p_max)))
-
-    return xi1, xi2, k2gs
+    return evaluate
 
 
-def _psi_pair(gamma_c, gamma_s, p_max):
-    k2gs = _subcarrier_weights(gamma_s.size) * gamma_s
+def _raise_to_floor(evaluate, target, s0, eta):
+    """Smallest eta with S(eta) >= target, for non-decreasing S with S(0) = s0 < target.
 
-    def psi1(mu, eta):
-        return float(np.sum(_sense_allocation(gamma_c, gamma_s, mu, eta, p_max)))
-
-    def psi2(mu, eta):
-        p = _sense_allocation(gamma_c, gamma_s, mu, eta, p_max)
-        return float(np.sum(np.log1p(gamma_c * p)))
-
-    return psi1, psi2, k2gs
+    evaluate(eta) returns (S(eta), mu(eta)).  The upper end doubles from
+    the given eta until it meets the floor; Anderson-Bjorck regula falsi
+    then shrinks [lo, hi] keeping S(lo) < target <= S(hi), until S(hi) is
+    within FLOOR_SLACK of the target or no float is left inside the
+    bracket.  Returns (eta, mu) at the feasible end hi.
+    """
+    lo, f_lo = 0.0, s0 - target
+    s, mu = evaluate(eta)
+    while s < target:
+        lo, f_lo = eta, s - target
+        eta *= 2.0
+        s, mu = evaluate(eta)
+    hi, f_hi, mu_hi, slack = eta, s - target, mu, s - target
+    side = None
+    while slack > FLOOR_SLACK * target:
+        eta = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < eta < hi:
+            eta = 0.5 * (lo + hi)
+            if not lo < eta < hi:
+                break
+        s, mu = evaluate(eta)
+        f = s - target
+        # Anderson-Bjorck: an end kept twice in a row has its value scaled
+        # down, so the next secant point lands on its side
+        if f >= 0.0:
+            if side == "hi":
+                m = 1.0 - f / f_hi
+                f_lo *= m if m > 0.0 else 0.5
+            hi, f_hi, mu_hi, slack, side = eta, f, mu, f, "hi"
+        else:
+            if side == "lo":
+                m = 1.0 - f / f_lo
+                f_hi *= m if m > 0.0 else 0.5
+            lo, f_lo, side = eta, f, "lo"
+    return hi, mu_hi
 
 
 def dual_iterate_comm(
@@ -369,52 +387,33 @@ def dual_iterate_comm(
     gamma_s: np.ndarray,
     target_info: float,
     p_max: float,
-    tol_mu: float = 1e-8,
-    tol_eta: float = 1e-8,
 ):
-    """Alternating bisections for (mu, eta) in the coupled comm case.
+    """Duals (mu, eta) of the coupled comm case, feasible by construction.
 
-    Per iteration: bisect mu on [mu_j, max_l(g_s l^2 eta_j + g_c)] so the
-    budget binds, then eta on [eta_j, mu_{j+1} / min_l(g_s l^2)] so the
-    sensing floor binds.  Both sequences increase monotonically toward the
-    optimum; stops when both move less than their relative tolerances and
-    the constraint residuals fall under 1e-8.
+    For each eta the budget level mu(eta) spends the power exactly; the
+    sensing information S(eta) = sum k^2 g_s p(mu(eta), eta) does not
+    decrease with eta, so a bracketed root-find on eta from eta = 0 meets
+    the floor.  The returned pair is the feasible end of the final bracket:
+    its xi_0 allocation meets the floor with >= at the given SNRs.
     """
     gamma_c = np.asarray(gamma_c, dtype=float)
     gamma_s = np.asarray(gamma_s, dtype=float)
-    xi1, xi2, k2gs = _xi_pair(gamma_c, gamma_s, p_max)
+    k2gs = _subcarrier_weights(gamma_s.size) * gamma_s
     if np.min(k2gs) <= 0:
         raise ValueError("gamma_s must be strictly positive in the coupled case")
-    mu, eta = 0.0, 0.0
-    trace = DualTrace(mu=[mu], eta=[eta])
-    for _ in range(MAX_DUAL_ITER):
-        mu_hi = float(np.max(k2gs * eta + gamma_c))
-        mu_new = _bisect(lambda m: xi1(m, eta), mu, mu_hi, 0.5, increasing=False)
-        eta_hi = mu_new / float(np.min(k2gs))
-        eta_new = _bisect(lambda e: xi2(mu_new, e), eta, eta_hi, target_info,
-                          increasing=True)
-        trace.mu.append(mu_new)
-        trace.eta.append(eta_new)
-        if __debug__:
-            slack = 1e-9 * max(mu_new, 1.0)
-            assert np.min(k2gs) * eta_new <= mu_new + slack
-            assert mu_new <= float(np.max(k2gs * eta_new + gamma_c)) + slack
-        # step tolerances are relative to the bracket widths searched
-        moved_mu = abs(mu_new - mu) > tol_mu * max(mu_hi - mu, 1e-30)
-        moved_eta = abs(eta_new - eta) > tol_eta * max(eta_hi - eta, 1e-30)
-        mu, eta = mu_new, eta_new
-        res1 = abs(xi1(mu, eta) - 0.5) / 0.5
-        res2 = abs(xi2(mu, eta) - target_info) / max(target_info, 1e-300)
-        # converge to a quarter of the residual budget: the final budget
-        # polish below nudges the other constraint by a comparable amount
-        if (not moved_mu and not moved_eta
-                and res1 < 0.25 * DUAL_RESIDUAL_TOL and res2 < 0.25 * DUAL_RESIDUAL_TOL):
-            # final budget polish: one more mu-bisection at eta* so the
-            # returned allocation meets the power sum to ~1e-13
-            mu_hi = float(np.max(k2gs * eta + gamma_c))
-            mu = _bisect(lambda m: xi1(m, eta), 0.0, mu_hi, 0.5, increasing=False)
-            return DualVariables(mu=mu, eta=eta), trace
-    raise DualIterationError("dual iteration exceeded its cap", trace=trace)
+
+    def sensing_info(eta):
+        mu, p = _budget_level(1.0, eta * k2gs, gamma_c, p_max)
+        return float(np.sum(k2gs * p)), mu
+
+    trace = DualTrace()
+    evaluate = _traced(sensing_info, trace)
+    s0, mu0 = evaluate(0.0)
+    if s0 >= target_info:
+        return DualVariables(mu=mu0, eta=0.0), trace
+    # first guess: eta k^2 g_s reaches the eta = 0 level on the best sensing bin
+    eta, mu = _raise_to_floor(evaluate, target_info, s0, mu0 / float(np.max(k2gs)))
+    return DualVariables(mu=mu, eta=eta), trace
 
 
 def dual_iterate_sense(
@@ -422,46 +421,29 @@ def dual_iterate_sense(
     gamma_s: np.ndarray,
     target_cap_nats: float,
     p_max: float,
-    tol_mu: float = 1e-8,
-    tol_eta: float = 1e-8,
 ):
-    """Alternating bisections for (mu, eta) in the coupled sensing case.
+    """Duals (mu, eta) of the coupled sensing case, feasible by construction.
 
-    Mirrors the comm version with the psi_0 rule; the eta bracket upper
-    endpoint is max_l (p_max + 1/g_c(l)) (mu_{j+1} - g_s(l) l^2).
+    Mirrors the comm version with the psi_0 rule: the capacity
+    sum ln(1 + g_c p(mu(eta), eta)) does not decrease with eta and tends to
+    that of the sensing LP as eta -> 0, which is the lower bracket end.
     """
     gamma_c = np.asarray(gamma_c, dtype=float)
     gamma_s = np.asarray(gamma_s, dtype=float)
-    psi1, psi2, k2gs = _psi_pair(gamma_c, gamma_s, p_max)
-    mu, eta = 0.0, 0.0
-    trace = DualTrace(mu=[mu], eta=[eta])
-    tiny_eta = 1e-300
-    for _ in range(MAX_DUAL_ITER):
-        mu_hi = float(np.max(k2gs + gamma_c * eta))
-        eta_eval = max(eta, tiny_eta)
-        mu_new = _bisect(lambda m: psi1(m, eta_eval), mu, mu_hi, 0.5,
-                         increasing=False)
-        eta_hi = float(np.max((p_max + 1.0 / gamma_c) * (mu_new - k2gs)))
-        if eta_hi <= eta:
-            eta_hi = eta + max(abs(eta), 1.0)
-        eta_new = _bisect(lambda e: psi2(mu_new, max(e, tiny_eta)), eta, eta_hi,
-                          target_cap_nats, increasing=True)
-        trace.mu.append(mu_new)
-        trace.eta.append(eta_new)
-        moved_mu = abs(mu_new - mu) > tol_mu * max(mu_hi - mu, 1e-30)
-        moved_eta = abs(eta_new - eta) > tol_eta * max(eta_hi - eta, 1e-30)
-        mu, eta = mu_new, eta_new
-        res1 = abs(psi1(mu, max(eta, tiny_eta)) - 0.5) / 0.5
-        res2 = abs(psi2(mu, max(eta, tiny_eta)) - target_cap_nats) / max(
-            target_cap_nats, 1e-300
-        )
-        if (not moved_mu and not moved_eta
-                and res1 < 0.25 * DUAL_RESIDUAL_TOL and res2 < 0.25 * DUAL_RESIDUAL_TOL):
-            mu_hi = float(np.max(k2gs + gamma_c * eta))
-            mu = _bisect(lambda m: psi1(m, max(eta, tiny_eta)), 0.0, mu_hi, 0.5,
-                         increasing=False)
-            return DualVariables(mu=mu, eta=eta), trace
-    raise DualIterationError("dual iteration exceeded its cap", trace=trace)
+    k2gs = _subcarrier_weights(gamma_s.size) * gamma_s
+    s0 = float(np.sum(np.log1p(gamma_c * sensing_lp(gamma_s, p_max))))
+    if s0 >= target_cap_nats:
+        raise ValueError("the sensing LP meets the capacity floor: not the coupled case")
+
+    def capacity(eta):
+        mu, p = _budget_level(eta, k2gs, gamma_c, p_max)
+        return float(np.sum(np.log1p(gamma_c * p))), mu
+
+    trace = DualTrace()
+    # psi_0 levels (mu - k^2 g_s) / eta sit on the scale of g_c
+    eta, mu = _raise_to_floor(_traced(capacity, trace), target_cap_nats, s0,
+                              float(np.max(k2gs) / np.max(gamma_c)))
+    return DualVariables(mu=mu, eta=eta), trace
 
 
 def _subcarrier_step_comm(gamma_c, gamma_s, info_floor, p_max):
@@ -503,6 +485,11 @@ def _solve_bcd(spec: ProblemSpec, model: SystemModel) -> AllocationSolution:
     floor = spec.info_threshold(cfg) if comm else spec.capacity_threshold_nats(cfg)
     k2 = _subcarrier_weights(cfg.n_data_subcarriers)
 
+    def constraint_of(snr, p):
+        if comm:
+            return float(np.sum(k2 * snr.gamma_s * p))
+        return float(np.sum(np.log1p(snr.gamma_c * p)))
+
     p = np.full(cfg.n_data_subcarriers, 0.5 / cfg.n_data_subcarriers)
     trace = SolveTrace()
     obj_prev = None
@@ -524,20 +511,23 @@ def _solve_bcd(spec: ProblemSpec, model: SystemModel) -> AllocationSolution:
                 p_new, case, duals, dtrace = _subcarrier_step_sense(
                     snr.gamma_c, snr.gamma_s, floor, spec.p_max
                 )
-        except InfeasibleProblem:
+        except InfeasibleProblem as e:
             if i == 0:
                 raise
-            # A later bias step made the floor unreachable: keep the last
-            # feasible iterate instead of discarding the whole solve.
-            trace.flags.append("reverted_infeasible")
+            # A later bias step made the floor unreachable.  The last iterate
+            # met it at the SNRs frozen for its step; keep it only if it also
+            # meets it at its own SNRs.
             b = trace.bias[-1]
+            held = constraint_of(model.snr(b, p), p)
+            if held < floor * (1.0 - DUAL_RESIDUAL_TOL):
+                raise InfeasibleProblem(
+                    f"floor unreachable at BCD step {i}, and the last iterate "
+                    f"misses it by {1.0 - held / floor:.3g} (relative) at its own SNRs"
+                ) from e
+            trace.flags.append("reverted_infeasible")
             break
-        if comm:
-            obj = spectral_efficiency(snr, p_new, cfg)
-            constraint = float(np.sum(k2 * snr.gamma_s * p_new))
-        else:
-            obj = fisher_information(snr, p_new, cfg)
-            constraint = float(np.sum(np.log1p(snr.gamma_c * p_new)))
+        obj = (spectral_efficiency if comm else fisher_information)(snr, p_new, cfg)
+        constraint = constraint_of(snr, p_new)
         trace.objective.append(obj)
         trace.bias.append(b)
         trace.cases.append(case)

@@ -1,10 +1,12 @@
 """Command-line entry points: solve, sweep, verify.
 
 Exit codes: 0 success, 1 scenario/schema error, 2 infeasible problem,
-3 divergence abort, 4 verification tolerance failure.
+3 divergence abort, 4 verification tolerance failure, 64 command-line
+usage error (unknown option, missing or invalid argument).
 """
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -29,6 +31,17 @@ from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
 from .system import SystemModel
 
 SWEEP_PARAMS = ("precision_cm", "C0_bpshz", "N_c_dbhz", "N_s_dbhz")
+SWEEP_COLUMNS = ("param", "value", "status", "case", "b", "C_bps_hz",
+                 "precision_cm", "outer_iters", "dual_iters_max", "reason")
+EXIT_USAGE = 64
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on EXIT_USAGE, apart from the codes 0-4."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _out_dir(args) -> Path:
@@ -45,8 +58,12 @@ def _solve_scenario(scenario: Scenario) -> AllocationSolution:
     return solve_p2(scenario.problem, model)
 
 
+def _dual_iterations(sol: AllocationSolution) -> list:
+    """Outer eta evaluations of each BCD step that ran a coupled dual."""
+    return [len(t.eta) for t in sol.trace.dual_traces if t is not None]
+
+
 def _solution_record(scenario: Scenario, sol: AllocationSolution) -> dict:
-    dual_iters = [len(t.mu) - 1 for t in sol.trace.dual_traces if t is not None]
     return {
         "mode": "CommCentric" if scenario.problem.mode == MODE_COMM else "SensingCentric",
         "case": sol.case_tag,
@@ -57,7 +74,7 @@ def _solution_record(scenario: Scenario, sol: AllocationSolution) -> dict:
         "fisher_distance": sol.metrics.fisher_distance,
         "precision_cm": sol.metrics.crb_distance_m * 100.0,
         "outer_iterations": sol.iterations,
-        "dual_iterations": dual_iters,
+        "dual_iterations": _dual_iterations(sol),
         "converged": sol.converged,
         "flags": list(sol.trace.flags),
     }
@@ -115,25 +132,23 @@ def _apply_param(doc: dict, param: str, value: float) -> dict:
 def _sweep_point(scenario_json: str, param: str, value: float) -> dict:
     doc = _apply_param(json.loads(scenario_json), param, value)
     scenario = parse_scenario(json.dumps(doc))
-    row = {"param": param, "value": value, "status": "ok", "case": "",
-           "b": "", "C_bps_hz": "", "precision_cm": "", "outer_iters": "",
-           "dual_iters_max": ""}
+    row = dict.fromkeys(SWEEP_COLUMNS, "")
+    row.update(param=param, value=value, status="ok")
     try:
         sol = _solve_scenario(scenario)
-    except InfeasibleProblem:
-        row["status"] = "infeasible"
+    except InfeasibleProblem as e:
+        row.update(status="infeasible", reason=str(e))
         return row
-    except (DivergenceAborted, DualIterationError):
-        row["status"] = "diverged"
+    except (DivergenceAborted, DualIterationError) as e:
+        row.update(status="diverged", reason=str(e))
         return row
-    dual_iters = [len(t.mu) - 1 for t in sol.trace.dual_traces if t is not None]
     row.update(
         case=sol.case_tag,
         b=f"{sol.b_opt:.12g}",
         C_bps_hz=f"{sol.metrics.spectral_efficiency:.12g}",
         precision_cm=f"{sol.metrics.crb_distance_m * 100.0:.12g}",
         outer_iters=sol.iterations,
-        dual_iters_max=max(dual_iters, default=0),
+        dual_iters_max=max(_dual_iterations(sol), default=0),
     )
     return row
 
@@ -158,12 +173,10 @@ def cmd_sweep(args) -> int:
             rows = list(pool.map(_sweep_point, *zip(*jobs)))
     else:
         rows = [_sweep_point(*j) for j in jobs]
-    header = ["param", "value", "status", "case", "b", "C_bps_hz",
-              "precision_cm", "outer_iters", "dual_iters_max"]
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(row[h]) for h in header))
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as f:
+        writer = csv.DictWriter(f, SWEEP_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
     n_ok = sum(1 for r in rows if r["status"] == "ok")
     print(f"sweep complete: {n_ok}/{len(rows)} points solved -> {out / 'sweep.csv'}")
     return 0
@@ -240,7 +253,7 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fso-isac",
         description="DCO-OFDM optical ISAC power allocation and verification",
     )

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from fso_isac import allocator
 from fso_isac.allocator import (
     CASE_A,
     CASE_C,
@@ -246,28 +247,12 @@ class TestDualIterateComm:
 
     def test_oracle_fixture_case_c(self):
         duals, trace = dual_iterate_comm(
-            N16_GAMMA_C, N16_GAMMA_S, N16_INFO_TARGET, N16_P_MAX,
-            tol_mu=1e-12, tol_eta=1e-12,
+            N16_GAMMA_C, N16_GAMMA_S, N16_INFO_TARGET, N16_P_MAX
         )
         p = _comm_allocation(N16_GAMMA_C, N16_GAMMA_S, duals.mu, duals.eta, N16_P_MAX)
         assert np.max(np.abs(p - ORACLE_P_C)) < 1e-5
         assert duals.mu == pytest.approx(ORACLE_MU_C, rel=1e-5)
         assert duals.eta == pytest.approx(ORACLE_ETA_C, rel=1e-5)
-
-    def test_residuals_and_monotonicity(self):
-        duals, trace = dual_iterate_comm(
-            N16_GAMMA_C, N16_GAMMA_S, N16_INFO_TARGET, N16_P_MAX
-        )
-        mu_seq = np.array(trace.mu)
-        eta_seq = np.array(trace.eta)
-        assert np.all(np.diff(mu_seq) >= -1e-12)
-        assert np.all(np.diff(eta_seq) >= -1e-12)
-        assert np.all(mu_seq <= duals.mu * (1 + 1e-9))
-        assert np.all(eta_seq <= duals.eta * (1 + 1e-9))
-        p = _comm_allocation(N16_GAMMA_C, N16_GAMMA_S, duals.mu, duals.eta, N16_P_MAX)
-        k2gs = _subcarrier_weights(7) * N16_GAMMA_S
-        assert abs(p.sum() - 0.5) / 0.5 < 1e-8
-        assert abs(k2gs @ p - N16_INFO_TARGET) / N16_INFO_TARGET < 1e-8
 
     def test_lemma2_region(self):
         duals, trace = dual_iterate_comm(
@@ -282,8 +267,7 @@ class TestDualIterateComm:
 class TestDualIterateSense:
     def test_oracle_fixture_case_f(self):
         duals, trace = dual_iterate_sense(
-            N16_GAMMA_C, N16_GAMMA_S, N16_CAP_TARGET_NATS, N16_P_MAX,
-            tol_mu=1e-12, tol_eta=1e-12,
+            N16_GAMMA_C, N16_GAMMA_S, N16_CAP_TARGET_NATS, N16_P_MAX
         )
         p = _sense_allocation(N16_GAMMA_C, N16_GAMMA_S, duals.mu, duals.eta, N16_P_MAX)
         assert np.max(np.abs(p - ORACLE_P_F)) < 1e-5
@@ -298,6 +282,40 @@ class TestDualIterateSense:
         assert abs(p.sum() - 0.5) / 0.5 < 1e-8
         cap = float(np.sum(np.log1p(N16_GAMMA_C * p)))
         assert abs(cap - N16_CAP_TARGET_NATS) / N16_CAP_TARGET_NATS < 1e-8
+
+
+N16_K2GS = _subcarrier_weights(7) * N16_GAMMA_S
+N16_DUALS = {
+    # dual solver, its allocation rule, the floored metric, the floor
+    "comm": (dual_iterate_comm, _comm_allocation,
+             lambda p: float(np.sum(N16_K2GS * p)), N16_INFO_TARGET),
+    "sense": (dual_iterate_sense, _sense_allocation,
+              lambda p: float(np.sum(np.log1p(N16_GAMMA_C * p))), N16_CAP_TARGET_NATS),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(N16_DUALS))
+class TestCoupledDuals:
+    def test_feasible_by_construction(self, mode):
+        solve, rule, metric, target = N16_DUALS[mode]
+        duals, trace = solve(N16_GAMMA_C, N16_GAMMA_S, target, N16_P_MAX)
+        p = rule(N16_GAMMA_C, N16_GAMMA_S, duals.mu, duals.eta, N16_P_MAX)
+        assert abs(p.sum() - 0.5) <= 1e-12
+        assert metric(p) >= target
+        assert metric(p) <= target * (1 + 1e-8)
+        # the floored metric does not decrease with eta over the evaluations
+        order = np.argsort(trace.eta, kind="stable")
+        s = [metric(rule(N16_GAMMA_C, N16_GAMMA_S, trace.mu[j], trace.eta[j], N16_P_MAX))
+             for j in order]
+        assert np.all(np.diff(s) >= 0)
+        assert (duals.mu, duals.eta) in zip(trace.mu, trace.eta)
+
+    def test_iteration_cap(self, mode, monkeypatch):
+        monkeypatch.setattr(allocator, "MAX_DUAL_ITER", 1)
+        solve, _, _, target = N16_DUALS[mode]
+        with pytest.raises(DualIterationError) as exc:
+            solve(N16_GAMMA_C, N16_GAMMA_S, target, N16_P_MAX)
+        assert len(exc.value.trace.mu) == len(exc.value.trace.eta) == 1
 
 
 def _desk_spec_comm(model, precision_m, p_max=0.04):
