@@ -15,7 +15,7 @@ from .clipping import (
     snr_profiles,
 )
 from .metrics import MetricReport, crb_distance, fisher_information, metric_report, spectral_efficiency, varsigma_sq_from_precision
-from .ofdm import FrequencyGrid, TimeSignal, empirical_clipping_noise, generate_frame, to_time_domain
+from .ofdm import FrequencyGrid, TimeSignal, generate_frame, to_time_domain
 from .allocator import (
     AllocationSolution,
     DivergenceAborted,

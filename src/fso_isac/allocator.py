@@ -60,13 +60,9 @@ class DivergenceAborted(Exception):
         self.trace = trace
 
 
-class DualIterationError(Exception):
+class DualIterationError(DivergenceAborted):
     """The root-find on eta exceeded MAX_DUAL_ITER evaluations; `trace`
     holds the evaluations made."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
 
 
 @dataclass(frozen=True)
@@ -190,12 +186,7 @@ def golden_section_max(f, lo: float, hi: float, tol: float):
     return x, f(x), evals + 1
 
 
-def solve_bias(
-    objective: str,
-    p_norm: np.ndarray,
-    model: SystemModel,
-    tol: float | None = None,
-):
+def solve_bias(objective: str, p_norm: np.ndarray, model: SystemModel):
     """Optimize the DC bias for a fixed allocation by golden search.
 
     The clipping statistics (and hence the SNR profile) are recomputed at
@@ -207,7 +198,7 @@ def solve_bias(
         raise ValueError("objective must be 'capacity' or 'fisher'")
     sqrt_p = math.sqrt(model.cfg.power_w)
     lo, hi = 0.0, sqrt_p * (1.0 - 1e-12)
-    tol = BIAS_TOL_FACTOR * sqrt_p if tol is None else tol
+    tol = BIAS_TOL_FACTOR * sqrt_p
 
     def f(b):
         snr = model.snr(b, p_norm)
@@ -258,8 +249,8 @@ def _sense_allocation(gamma_c, gamma_s, mu, eta, p_max):
     return _fill(mu, eta, k2gs, gamma_c, p_max)
 
 
-def _budget_level(scale, shift, gamma_c, p_max, target_sum=0.5):
-    """Level mu at which the shared rule spends exactly target_sum.
+def _budget_level(scale, shift, gamma_c, p_max):
+    """Level mu at which the shared rule spends exactly the budget 1/2.
 
     sum p(mu) falls monotonically from n p_max (every level at its floor)
     to 0 (every level at or above scale g_c); Brent's method finds the
@@ -269,11 +260,11 @@ def _budget_level(scale, shift, gamma_c, p_max, target_sum=0.5):
     hi = float(np.max(shift + scale * gamma_c))
 
     def excess(mu):
-        return float(np.sum(_fill(mu, scale, shift, gamma_c, p_max))) - target_sum
+        return float(np.sum(_fill(mu, scale, shift, gamma_c, p_max))) - 0.5
 
     mu = brentq(excess, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
     p = _fill(mu, scale, shift, gamma_c, p_max)
-    if abs(p.sum() - target_sum) > POWER_SUM_TOL:
+    if abs(p.sum() - 0.5) > POWER_SUM_TOL:
         raise RuntimeError("budget level failed to meet the power sum")
     return mu, p
 
@@ -283,9 +274,8 @@ def waterfill_comm(
     gamma_s: np.ndarray,
     eta: float,
     p_max: float,
-    target_sum: float = 0.5,
 ):
-    """Capped water-filling at fixed eta: the xi_0 level mu with sum p = target.
+    """Capped water-filling at fixed eta: the xi_0 level mu with sum p = 1/2.
 
     Returns (p_norm, mu); the budget is met within POWER_SUM_TOL.
     """
@@ -295,10 +285,10 @@ def waterfill_comm(
         raise ValueError("gamma_c must be positive and gamma_s non-negative")
     if eta < 0:
         raise ValueError("eta must be non-negative")
-    if gamma_c.size * p_max < target_sum:
+    if gamma_c.size * p_max < 0.5:
         raise ValueError("infeasible target: caps sum below the power budget")
     k2gs = _subcarrier_weights(gamma_s.size) * gamma_s
-    mu, p = _budget_level(1.0, eta * k2gs, gamma_c, p_max, target_sum)
+    mu, p = _budget_level(1.0, eta * k2gs, gamma_c, p_max)
     return p, mu
 
 

@@ -72,26 +72,20 @@ class ChannelState:
     reflectivity: float
     h_tilde_c: np.ndarray | None = None
     h_tilde_s: np.ndarray | None = None
-    # "squared_mean" uses E(h)^2 in the SNR noise terms; "mean_square"
-    # uses E(h^2) = E(h)^2 * exp(sigma_t2).
-    gain_moment: str = "squared_mean"
 
     def __post_init__(self):
         if self.h_bar_c <= 0 or self.h_bar_s <= 0:
             raise ValueError("stationary gains must be positive")
         if self.sigma_t2_c < 0 or self.sigma_t2_s < 0:
             raise ValueError("scintillation indices must be non-negative")
-        if self.gain_moment not in ("squared_mean", "mean_square"):
-            raise ValueError("gain_moment must be 'squared_mean' or 'mean_square'")
 
     def gain_sq_c(self) -> float:
-        """Second-moment term for the comm path per the gain_moment switch."""
-        factor = np.exp(self.sigma_t2_c) if self.gain_moment == "mean_square" else 1.0
-        return self.h_bar_c**2 * factor
+        """Gain term E(h_c)^2 of the comm-path SNR."""
+        return self.h_bar_c**2
 
     def gain_sq_s(self) -> float:
-        factor = np.exp(self.sigma_t2_s) if self.gain_moment == "mean_square" else 1.0
-        return self.h_bar_s**2 * factor
+        """Gain term E(h_s)^2 of the sensing-path SNR."""
+        return self.h_bar_s**2
 
     def response_c(self, n_data: int) -> np.ndarray:
         if self.h_tilde_c is None:
@@ -148,7 +142,6 @@ def geometric_loss(aperture_m2: float, path_m: float, theta_rad: float) -> float
 def stationary_gains(
     link_c: LinkParams,
     link_s: LinkParams,
-    gain_moment: str = "squared_mean",
     override_gain_c_db: float | None = None,
     override_gain_s_db: float | None = None,
 ) -> ChannelState:
@@ -185,5 +178,4 @@ def stationary_gains(
         noise_psd_c=link_c.noise_psd,
         noise_psd_s=link_s.noise_psd,
         reflectivity=link_s.reflectivity,
-        gain_moment=gain_moment,
     )

@@ -19,7 +19,6 @@ from .allocator import (
     MODE_COMM,
     AllocationSolution,
     DivergenceAborted,
-    DualIterationError,
     InfeasibleProblem,
     ProblemSpec,
     solve_bias,
@@ -58,11 +57,6 @@ def _solve_scenario(scenario: Scenario) -> AllocationSolution:
     return solve_p2(scenario.problem, model)
 
 
-def _dual_iterations(sol: AllocationSolution) -> list:
-    """Outer eta evaluations of each BCD step that ran a coupled dual."""
-    return [len(t.eta) for t in sol.trace.dual_traces if t is not None]
-
-
 def _solution_record(scenario: Scenario, sol: AllocationSolution) -> dict:
     return {
         "mode": "CommCentric" if scenario.problem.mode == MODE_COMM else "SensingCentric",
@@ -74,7 +68,8 @@ def _solution_record(scenario: Scenario, sol: AllocationSolution) -> dict:
         "fisher_distance": sol.metrics.fisher_distance,
         "precision_cm": sol.metrics.crb_distance_m * 100.0,
         "outer_iterations": sol.iterations,
-        "dual_iterations": _dual_iterations(sol),
+        # outer eta evaluations of each BCD step that ran a coupled dual
+        "dual_iterations": [len(t.eta) for t in sol.trace.dual_traces if t is not None],
         "converged": sol.converged,
         "flags": list(sol.trace.flags),
     }
@@ -103,7 +98,7 @@ def cmd_solve(args) -> int:
     except InfeasibleProblem as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return 2
-    except (DivergenceAborted, DualIterationError) as e:
+    except DivergenceAborted as e:
         print(f"diverged: {e}", file=sys.stderr)
         return 3
     _write_solution(out, scenario, sol)
@@ -139,16 +134,17 @@ def _sweep_point(scenario_json: str, param: str, value: float) -> dict:
     except InfeasibleProblem as e:
         row.update(status="infeasible", reason=str(e))
         return row
-    except (DivergenceAborted, DualIterationError) as e:
+    except DivergenceAborted as e:
         row.update(status="diverged", reason=str(e))
         return row
+    rec = _solution_record(scenario, sol)
     row.update(
-        case=sol.case_tag,
-        b=f"{sol.b_opt:.12g}",
-        C_bps_hz=f"{sol.metrics.spectral_efficiency:.12g}",
-        precision_cm=f"{sol.metrics.crb_distance_m * 100.0:.12g}",
-        outer_iters=sol.iterations,
-        dual_iters_max=max(_dual_iterations(sol), default=0),
+        case=rec["case"],
+        b=f"{rec['b']:.12g}",
+        C_bps_hz=f"{rec['spectral_efficiency_bps_hz']:.12g}",
+        precision_cm=f"{rec['precision_cm']:.12g}",
+        outer_iters=rec["outer_iterations"],
+        dual_iters_max=max(rec["dual_iterations"], default=0),
     )
     return row
 
@@ -213,7 +209,7 @@ def cmd_verify(args) -> int:
     except InfeasibleProblem as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return 2
-    except (DivergenceAborted, DualIterationError) as e:
+    except DivergenceAborted as e:
         print(f"diverged: {e}", file=sys.stderr)
         return 3
 

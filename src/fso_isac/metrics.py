@@ -41,14 +41,6 @@ def spectral_efficiency(snr: SnrProfile, p_norm: np.ndarray, cfg: OfdmConfig) ->
     )
 
 
-def capacity_gradient(snr: SnrProfile, p_norm: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
-    """Analytic dC/dp_norm(k) = gamma_c / ((1 + gamma_c p) B T_o ln 2)."""
-    p = np.asarray(p_norm, dtype=float)
-    return snr.gamma_c / (
-        (1.0 + snr.gamma_c * p) * cfg.bandwidth_hz * cfg.total_symbol_s * np.log(2.0)
-    )
-
-
 def fisher_information(snr: SnrProfile, p_norm: np.ndarray, cfg: OfdmConfig) -> float:
     """Delay-domain Fisher information of the ToF estimate, 1/s^2.
 

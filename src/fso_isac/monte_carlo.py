@@ -19,11 +19,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.fft import next_fast_len
 
+from .channel import sample_turbulence
 from .clipping import compute_clipping_stats
 from .config import SPEED_OF_LIGHT, OfdmConfig
 from .metrics import crb_distance
 from .ofdm import FrequencyGrid, generate_frame, to_time_domain
 from .system import SystemModel
+
+# verify_clipping_model compares R_wp on lags 1..VERIFY_LAGS; nominal relative
+# tolerances of the w_p moments, of R_wp(0), and of the lags and the PSD
+VERIFY_LAGS = 32
+TOL_MOMENTS = 0.01
+TOL_R0 = 0.02
+TOL_PSD = 0.05
 
 
 @dataclass(frozen=True)
@@ -39,13 +47,10 @@ class McCampaign:
     rng_seed: int
     true_tof: float
     snr_sweep: tuple
-    interpolation: str = "parabolic"
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.interpolation not in ("parabolic", "none"):
-            raise ValueError("interpolation must be 'parabolic' or 'none'")
         if self.true_tof < 0:
             raise ValueError("true_tof must be non-negative")
 
@@ -171,16 +176,11 @@ def rmse_vs_crb(
             grid = generate_frame(cfg, p_norm, rng_seed=rng, bias=b)
             clean = delayed_clipped_stream(grid, cfg, b, campaign.true_tof)
             if chan.sigma_t2_s > 0:
-                z = rng.normal(-chan.sigma_t2_s / 2.0, np.sqrt(chan.sigma_t2_s))
-                clean = clean * np.exp(z)
+                clean = clean * sample_turbulence(chan.sigma_t2_s, rng, 1)
             rx = clean + sigma_v * rng.standard_normal(clean.size)
             rx -= rx.mean()
             tau_hat = estimate_tof(
-                rx,
-                reference_stream(grid, cfg),
-                cfg.sample_rate,
-                interpolation=campaign.interpolation,
-                max_lag=max_lag,
+                rx, reference_stream(grid, cfg), cfg.sample_rate, max_lag=max_lag
             )
             errors[t] = 0.5 * SPEED_OF_LIGHT * (tau_hat - campaign.true_tof)
         rmse = float(np.sqrt(np.mean(errors**2)))
@@ -233,10 +233,6 @@ def verify_clipping_model(
     p_norm: np.ndarray,
     trials: int,
     seed: int = 0,
-    max_lag: int = 32,
-    tol_moments: float = 0.01,
-    tol_r0: float = 0.02,
-    tol_psd: float = 0.05,
 ) -> ClippingVerifyReport:
     """Compare empirical clipping statistics over `trials` frames with the
     analytical model.
@@ -309,30 +305,30 @@ def verify_clipping_model(
 
     rows = [
         VerifyRow("bussgang_gain", k_gain, emp_k, rel(emp_k, k_gain, 1e-12),
-                  guarded(tol_moments, se_k, k_gain, 1e-12)),
+                  guarded(TOL_MOMENTS, se_k, k_gain, 1e-12)),
         VerifyRow("mean_wp", stats.mean_wp, emp_mean,
                   rel(emp_mean, stats.mean_wp, floor_amp),
-                  guarded(tol_moments, se_mean, stats.mean_wp, floor_amp)),
+                  guarded(TOL_MOMENTS, se_mean, stats.mean_wp, floor_amp)),
         VerifyRow("power_wp", stats.power_wp, emp_power,
                   rel(emp_power, stats.power_wp, floor_pow),
-                  guarded(tol_moments, se_power, stats.power_wp, floor_pow)),
+                  guarded(TOL_MOMENTS, se_power, stats.power_wp, floor_pow)),
         VerifyRow("r_wp_lag0", stats.r_wp[0], r_emp[0],
                   rel(r_emp[0], stats.r_wp[0], floor_pow),
-                  guarded(tol_r0, se_power, stats.r_wp[0], floor_pow)),
+                  guarded(TOL_R0, se_power, stats.r_wp[0], floor_pow)),
     ]
     lag_floor = 0.25 * stats.power_wp + floor_pow
-    for lag in range(1, max_lag + 1):
+    for lag in range(1, VERIFY_LAGS + 1):
         rows.append(
             VerifyRow(
                 f"r_wp_lag{lag}", stats.r_wp[lag], r_emp[lag],
                 rel(r_emp[lag], stats.r_wp[lag], lag_floor),
-                guarded(tol_psd, se_power, stats.r_wp[lag], lag_floor),
+                guarded(TOL_PSD, se_power, stats.r_wp[lag], lag_floor),
             )
         )
     psd_scale = max(float(np.mean(stats.p_wp[1:])), n * floor_pow * 1e-2)
     worst = int(np.argmax(np.abs(psd_emp[1:] - stats.p_wp[1:]))) + 1
     psd_err = abs(psd_emp[worst] - stats.p_wp[worst]) / psd_scale
-    psd_tol = max(tol_psd, 4.0 * float(np.max(psd_se[1:])) / psd_scale)
+    psd_tol = max(TOL_PSD, 4.0 * float(np.max(psd_se[1:])) / psd_scale)
     rows.append(VerifyRow("psd_scaled_max", stats.p_wp[worst], psd_emp[worst],
                           psd_err, psd_tol))
     rows.append(VerifyRow("corr_wp_x", 0.0, emp_rho, abs(emp_rho),

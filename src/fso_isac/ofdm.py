@@ -2,8 +2,7 @@
 
 Builds Hermitian-symmetric frequency grids with Gaussian subcarrier symbols,
 converts them to real time-domain sample streams (IDFT, cyclic prefix, DC
-bias, non-negative clipping), and extracts the empirical clipping-noise
-stream used by the Monte Carlo harness.
+bias, non-negative clipping).
 
 Power conventions: a normalized allocation p_norm over data subcarriers
 k in [1, N/2) sums to 1/2; each bin of a Hermitian pair carries
@@ -63,16 +62,12 @@ class TimeSignal:
     Attributes:
         samples: transmitted stream; {x(n)+b}^+ when clipped, else x(n)+b.
         pre_clip: the unbiased, unclipped stream x(n) (same layout).
-        bias: DC bias b in sqrt(W).
-        clipped: whether non-negative clipping was applied to `samples`.
         cp_samples: cyclic-prefix length per symbol.
         n_fft: IDFT size (subcarriers per symbol).
     """
 
     samples: np.ndarray
     pre_clip: np.ndarray
-    bias: float
-    clipped: bool
     cp_samples: int
     n_fft: int
 
@@ -140,19 +135,4 @@ def to_time_domain(
     stream = with_cp.T.reshape(-1)
     biased = stream + bias
     samples = np.maximum(biased, 0.0) if clip else biased
-    return TimeSignal(
-        samples=samples,
-        pre_clip=stream,
-        bias=bias,
-        clipped=clip,
-        cp_samples=cp,
-        n_fft=n,
-    )
-
-
-def empirical_clipping_noise(time: TimeSignal, bussgang_k: float) -> np.ndarray:
-    """Per-sample clipping-noise stream w_p(n) = {x(n)+b}^+ - b - K x(n)."""
-    x = time.pre_clip
-    if x.shape != time.samples.shape:
-        raise ValueError("pre-clip and output streams have mismatched lengths")
-    return np.maximum(x + time.bias, 0.0) - time.bias - bussgang_k * x
+    return TimeSignal(samples=samples, pre_clip=stream, cp_samples=cp, n_fft=n)

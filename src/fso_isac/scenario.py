@@ -87,7 +87,6 @@ class Scenario:
     chan: ChannelState
     problem: ProblemSpec
     mc: McSettings | None
-    raw: dict
 
     def model(self) -> SystemModel:
         return SystemModel(cfg=self.cfg, chan=self.chan)
@@ -187,7 +186,7 @@ def parse_scenario(text: str) -> Scenario:
     mc = None
     if "mc" in doc:
         mc = McSettings(trials=doc["mc"]["trials"], seed=doc["mc"]["seed"])
-    return Scenario(cfg=cfg, chan=chan, problem=problem, mc=mc, raw=doc)
+    return Scenario(cfg=cfg, chan=chan, problem=problem, mc=mc)
 
 
 def load_scenario(path) -> Scenario:

@@ -27,19 +27,11 @@ class SystemModel:
         stats = self.clipping_stats(b, p_norm)
         return snr_profiles(stats, self.chan, self.cfg, b)
 
-    def capacity(self, b: float, p_norm: np.ndarray, snr: SnrProfile | None = None) -> float:
-        if snr is None:
-            snr = self.snr(b, p_norm)
-        return spectral_efficiency(snr, p_norm, self.cfg)
+    def capacity(self, b: float, p_norm: np.ndarray) -> float:
+        return spectral_efficiency(self.snr(b, p_norm), p_norm, self.cfg)
 
-    def fisher(self, b: float, p_norm: np.ndarray, snr: SnrProfile | None = None) -> float:
-        if snr is None:
-            snr = self.snr(b, p_norm)
-        return fisher_information(snr, p_norm, self.cfg)
+    def fisher(self, b: float, p_norm: np.ndarray) -> float:
+        return fisher_information(self.snr(b, p_norm), p_norm, self.cfg)
 
     def metrics(self, b: float, p_norm: np.ndarray) -> MetricReport:
         return metric_report(self.snr(b, p_norm), p_norm, self.cfg)
-
-    def uniform_allocation(self) -> np.ndarray:
-        n_data = self.cfg.n_data_subcarriers
-        return np.full(n_data, 0.5 / n_data)

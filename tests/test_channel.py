@@ -3,7 +3,6 @@ import pytest
 from scipy import stats as sps
 
 from fso_isac.channel import (
-    ChannelState,
     LinkParams,
     attenuation_gain,
     geometric_loss,
@@ -108,8 +107,6 @@ def test_gains_decrease_with_distance():
 
 def test_gain_moment_switch():
     chan = stationary_gains(table1_link(), table1_link())
-    alt = ChannelState(**{**chan.__dict__, "gain_moment": "mean_square"})
-    assert alt.gain_sq_c() == pytest.approx(chan.gain_sq_c() * np.exp(chan.sigma_t2_c))
     assert chan.gain_sq_c() == pytest.approx(chan.h_bar_c**2)
 
 

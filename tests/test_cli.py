@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from fso_isac import allocator
+from fso_isac import allocator, cli
 from fso_isac.cli import EXIT_USAGE, SWEEP_COLUMNS, main
+from fso_isac.monte_carlo import RmsePoint, RmseReport
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
@@ -88,6 +89,17 @@ def test_exit_1_unknown_scenario_key(scenario_dir, tmp_path):
     assert not (tmp_path / "out" / "solution.json").exists()
 
 
+def test_exit_1_wrong_type_names_line(scenario_dir, tmp_path, capsys):
+    doc = json.loads((scenario_dir / "desk.json").read_text(encoding="utf-8"))
+    doc["ofdm"]["N"] = "256"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    assert path.read_text(encoding="utf-8").splitlines()[3] == '    "N": "256",'
+    assert solve(path, tmp_path / "out") == 1
+    assert "'ofdm.N' has wrong type (line 4)" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "solution.json").exists()
+
+
 def test_exit_2_infeasible_floor(scenario_dir, tmp_path):
     assert solve(desk_scenario(scenario_dir, tmp_path, precision_cm=5.0), tmp_path) == 2
     assert not (tmp_path / "solution.json").exists()
@@ -97,6 +109,18 @@ def test_exit_3_bcd_cap(scenario_dir, tmp_path, monkeypatch):
     monkeypatch.setattr(allocator, "MAX_OUTER_BCD", 1)
     assert solve(scenario_dir / "desk.json", tmp_path) == 3
     assert not (tmp_path / "solution.json").exists()
+
+
+def test_exit_4_rmse_gate(scenario_dir, tmp_path, monkeypatch, capsys):
+    point = RmsePoint(snr_db=-100.0, trials=1, rmse_m=0.15, crb_m=0.1, ratio=1.5,
+                      bias_m=0.0)
+    monkeypatch.setattr(cli, "rmse_vs_crb", lambda *args: RmseReport(points=(point,)))
+    code = main(["verify", "--scenario", str(scenario_dir / "desk.json"),
+                 "--out", str(tmp_path), "--trials", "20"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "rmse_crb_ratio=1.500" in err
+    assert "verification FAILED: rmse_crb_ratio" in err
 
 
 def test_usage_error_exit_code(scenario_dir, tmp_path):

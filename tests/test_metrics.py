@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from fso_isac.clipping import SnrProfile
 from fso_isac.config import SPEED_OF_LIGHT, OfdmConfig
 from fso_isac.metrics import (
-    capacity_gradient,
     crb_distance,
     fisher_information,
     metric_report,
@@ -97,21 +96,6 @@ def test_capacity_concave_midpoints(cfg):
         mid = spectral_efficiency(snr, (p + q) / 2, cfg)
         avg = (spectral_efficiency(snr, p, cfg) + spectral_efficiency(snr, q, cfg)) / 2
         assert mid >= avg - 1e-12
-
-
-def test_gradient_matches_finite_differences(cfg):
-    rng = np.random.default_rng(2)
-    snr = SnrProfile(gamma_c=rng.uniform(5, 500, cfg.n_data_subcarriers),
-                     gamma_s=np.ones(cfg.n_data_subcarriers))
-    p = random_feasible(cfg, rng)
-    grad = capacity_gradient(snr, p, cfg)
-    h = 1e-6
-    for k in range(0, cfg.n_data_subcarriers, 5):
-        e = np.zeros_like(p)
-        e[k] = h
-        fd = (spectral_efficiency(snr, p + e, cfg)
-              - spectral_efficiency(snr, p - e, cfg)) / (2 * h)
-        assert grad[k] == pytest.approx(fd, rel=1e-6)
 
 
 def test_distance_conversion_and_report(cfg):

@@ -4,9 +4,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from fso_isac.config import OfdmConfig
-from fso_isac.clipping import bussgang_gain
 from fso_isac.ofdm import (
-    empirical_clipping_noise,
     generate_frame,
     to_time_domain,
     validate_p_norm,
@@ -143,59 +141,6 @@ def test_bias_out_of_range(desk_cfg):
         to_time_domain(grid, desk_cfg, bias=-0.1)
     with pytest.raises(ValueError):
         to_time_domain(grid, desk_cfg, bias=1.5)
-
-
-def test_empirical_clipping_noise_constant_input():
-    # constant x = 0 with b >= 0: w_p = {b}^+ - b - 0 = 0
-    cfg = OfdmConfig(n_symbols=1, n_subcarriers=16, delta_f=1e5, guard_s=0.0, power_w=4.0)
-    grid = generate_frame(cfg, np.full(7, 0.5 / 7), rng_seed=0)
-    zero = type(grid)(x=np.zeros_like(grid.x), p_norm=grid.p_norm)
-    ts = to_time_domain(zero, cfg, bias=1.0, clip=True)
-    wp = empirical_clipping_noise(ts, bussgang_k=0.8)
-    assert_allclose(wp, 0.0, atol=0)
-
-
-def test_empirical_clipping_noise_mean_b0(clip_cfg):
-    # E(w_p) at b=0 equals sigma_x / sqrt(2 pi)
-    p = uniform_allocation(clip_cfg)
-    sigma_x = np.sqrt(clip_cfg.signal_variance(0.0))
-    acc = n = 0
-    for t in range(70):
-        grid = generate_frame(clip_cfg, p, rng_seed=[13, t])
-        ts = to_time_domain(grid, clip_cfg, bias=0.0, clip=True)
-        wp = empirical_clipping_noise(ts, bussgang_k=0.5)
-        acc += wp.sum()
-        n += wp.size
-    assert n >= 1e6
-    assert acc / n == pytest.approx(sigma_x / np.sqrt(2 * np.pi), rel=0.01)
-
-
-def test_empirical_clipping_noise_uncorrelated(clip_cfg):
-    p = uniform_allocation(clip_cfg)
-    b = 0.5 * np.sqrt(clip_cfg.signal_variance(0.0) * clip_cfg.n_subcarriers)
-    k_gain = bussgang_gain(b, np.sqrt(clip_cfg.signal_variance(b)))
-    sxw = sxx = sww = 0.0
-    n = 0
-    for t in range(70):
-        grid = generate_frame(clip_cfg, p, rng_seed=[17, t], bias=b)
-        ts = to_time_domain(grid, clip_cfg, bias=b, clip=True)
-        wp = empirical_clipping_noise(ts, k_gain)
-        x = ts.pre_clip
-        sxw += np.sum(x * wp)
-        sxx += np.sum(x * x)
-        sww += np.sum(wp * wp)
-        n += x.size
-    rho = sxw / np.sqrt(sxx * sww)
-    assert abs(rho) < 3.0 / np.sqrt(n) * 3  # 3 SE with correlation cushion
-
-
-def test_length_mismatch_error(desk_cfg):
-    grid = generate_frame(desk_cfg, uniform_allocation(desk_cfg), rng_seed=0)
-    ts = to_time_domain(grid, desk_cfg, bias=0.1)
-    broken = type(ts)(samples=ts.samples[:-1], pre_clip=ts.pre_clip, bias=ts.bias,
-                      clipped=ts.clipped, cp_samples=ts.cp_samples, n_fft=ts.n_fft)
-    with pytest.raises(ValueError):
-        empirical_clipping_noise(broken, 0.5)
 
 
 @settings(max_examples=20, deadline=None)
