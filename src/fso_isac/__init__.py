@@ -10,7 +10,6 @@ from .clipping import (
     clip_moments,
     clipping_psd,
     compute_clipping_stats,
-    price_integral,
     signal_autocorrelation,
     snr_profiles,
 )

@@ -7,9 +7,11 @@ coordinate descent alternates a golden-section search over the DC bias
 subcarrier sub-problem solved in closed form from its KKT conditions.  The
 sub-problem splits into cases: unconstrained water-filling (A) or sensing
 LP (D), the feasibility probe (B/E), and the coupled case (C/F) with two
-dual variables: for each floor dual eta the budget level mu(eta) spends the
-power exactly, and a bracketed root-find on eta returns the feasible end of
-its final bracket, so the floor holds by construction.
+dual variables: for each floor dual eta a root-find on the budget level
+mu(eta) spends the power to within POWER_SUM_TOL, and a root-find on eta
+meets the floor.  Both levels use one bracketed root-finder that returns
+the feasible end of its final bracket, so the budget and the floor hold by
+construction.
 
 Internally the capacity constraint is handled in nats so the KKT allocation
 rules keep their clean algebraic form; reported spectral efficiencies are
@@ -20,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .clipping import SnrProfile
 from .config import OfdmConfig
@@ -249,21 +250,55 @@ def _sense_allocation(gamma_c, gamma_s, mu, eta, p_max):
     return _fill(mu, eta, k2gs, gamma_c, p_max)
 
 
+def _feasible_root(f, lo, f_lo, hi, f_hi, at_hi, tol):
+    """Feasible end of a root bracket of a non-decreasing function.
+
+    f(x) returns (value, payload); f_lo < 0 <= f_hi, and at_hi is the
+    payload at hi.  Anderson-Bjorck regula falsi shrinks [lo, hi] keeping
+    f(lo) < 0 <= f(hi), until f(hi) <= tol or no float is left inside the
+    bracket.  Returns (hi, payload at hi).
+    """
+    slack, side = f_hi, None
+    while slack > tol:
+        # a secant point rounded onto an end means the root is within a
+        # float or two of it: step one float inside the bracket instead
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        x = min(max(x, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+        if not lo < x < hi:
+            break
+        fx, at_x = f(x)
+        # Anderson-Bjorck: an end kept twice in a row has its value scaled
+        # down, so the next secant point lands on its side
+        if fx >= 0.0:
+            if side == "hi":
+                m = 1.0 - fx / f_hi
+                f_lo *= m if m > 0.0 else 0.5
+            hi, f_hi, at_hi, slack, side = x, fx, at_x, fx, "hi"
+        else:
+            if side == "lo":
+                m = 1.0 - fx / f_lo
+                f_hi *= m if m > 0.0 else 0.5
+            lo, f_lo, side = x, fx, "lo"
+    return hi, at_hi
+
+
 def _budget_level(scale, shift, gamma_c, p_max):
-    """Level mu at which the shared rule spends exactly the budget 1/2.
+    """Level mu at which the shared rule spends the budget 1/2.
 
     sum p(mu) falls monotonically from n p_max (every level at its floor)
-    to 0 (every level at or above scale g_c); Brent's method finds the
-    crossing to a few ulps of mu.  Returns (mu, p).
+    to 0 (every level at or above scale g_c).  `_feasible_root` keeps the
+    feasible end, where sum p <= 1/2, and stops once it is within
+    POWER_SUM_TOL of the budget.  Returns (mu, p).
     """
     lo = float(np.min(shift + scale / (p_max + 1.0 / gamma_c)))
     hi = float(np.max(shift + scale * gamma_c))
 
-    def excess(mu):
-        return float(np.sum(_fill(mu, scale, shift, gamma_c, p_max))) - 0.5
+    def unspent(mu):
+        p = _fill(mu, scale, shift, gamma_c, p_max)
+        return 0.5 - float(np.sum(p)), p
 
-    mu = brentq(excess, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
-    p = _fill(mu, scale, shift, gamma_c, p_max)
+    mu, p = _feasible_root(unspent, lo, 0.5 - gamma_c.size * p_max, hi, *unspent(hi),
+                           POWER_SUM_TOL)
     if abs(p.sum() - 0.5) > POWER_SUM_TOL:
         raise RuntimeError("budget level failed to meet the power sum")
     return mu, p
@@ -316,60 +351,37 @@ def sensing_lp(gamma_s: np.ndarray, p_max: float) -> np.ndarray:
 
 
 def _traced(solve_at, trace):
-    """Wrap solve_at(eta) -> (S, mu) so each call is one recorded, capped
-    outer evaluation."""
+    """Wrap solve_at(eta) -> (S - target, mu) so each call is one recorded,
+    capped outer evaluation."""
 
     def evaluate(eta):
         if len(trace.eta) >= MAX_DUAL_ITER or not math.isfinite(eta):
             raise DualIterationError(
                 f"dual root-find exceeded {MAX_DUAL_ITER} eta evaluations", trace=trace
             )
-        s, mu = solve_at(eta)
+        excess, mu = solve_at(eta)
         trace.mu.append(mu)
         trace.eta.append(eta)
-        return s, mu
+        return excess, mu
 
     return evaluate
 
 
-def _raise_to_floor(evaluate, target, s0, eta):
-    """Smallest eta with S(eta) >= target, for non-decreasing S with S(0) = s0 < target.
+def _raise_to_floor(excess, f0, eta, target):
+    """Smallest eta with S(eta) >= target, for non-decreasing S with f0 = S(0) - target < 0.
 
-    evaluate(eta) returns (S(eta), mu(eta)).  The upper end doubles from
-    the given eta until it meets the floor; Anderson-Bjorck regula falsi
-    then shrinks [lo, hi] keeping S(lo) < target <= S(hi), until S(hi) is
-    within FLOOR_SLACK of the target or no float is left inside the
-    bracket.  Returns (eta, mu) at the feasible end hi.
+    excess(eta) returns (S(eta) - target, mu(eta)).  The upper end doubles
+    from the given eta until it meets the floor; `_feasible_root` then
+    shrinks the bracket until S(hi) is within FLOOR_SLACK of the target.
+    Returns (eta, mu) at the feasible end hi.
     """
-    lo, f_lo = 0.0, s0 - target
-    s, mu = evaluate(eta)
-    while s < target:
-        lo, f_lo = eta, s - target
+    lo, f_lo = 0.0, f0
+    f, mu = excess(eta)
+    while f < 0.0:
+        lo, f_lo = eta, f
         eta *= 2.0
-        s, mu = evaluate(eta)
-    hi, f_hi, mu_hi, slack = eta, s - target, mu, s - target
-    side = None
-    while slack > FLOOR_SLACK * target:
-        eta = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        if not lo < eta < hi:
-            eta = 0.5 * (lo + hi)
-            if not lo < eta < hi:
-                break
-        s, mu = evaluate(eta)
-        f = s - target
-        # Anderson-Bjorck: an end kept twice in a row has its value scaled
-        # down, so the next secant point lands on its side
-        if f >= 0.0:
-            if side == "hi":
-                m = 1.0 - f / f_hi
-                f_lo *= m if m > 0.0 else 0.5
-            hi, f_hi, mu_hi, slack, side = eta, f, mu, f, "hi"
-        else:
-            if side == "lo":
-                m = 1.0 - f / f_lo
-                f_hi *= m if m > 0.0 else 0.5
-            lo, f_lo, side = eta, f, "lo"
-    return hi, mu_hi
+        f, mu = excess(eta)
+    return _feasible_root(excess, lo, f_lo, eta, f, mu, FLOOR_SLACK * target)
 
 
 def dual_iterate_comm(
@@ -377,14 +389,17 @@ def dual_iterate_comm(
     gamma_s: np.ndarray,
     target_info: float,
     p_max: float,
+    mu0: float,
 ):
     """Duals (mu, eta) of the coupled comm case, feasible by construction.
 
     For each eta the budget level mu(eta) spends the power exactly; the
     sensing information S(eta) = sum k^2 g_s p(mu(eta), eta) does not
     decrease with eta, so a bracketed root-find on eta from eta = 0 meets
-    the floor.  The returned pair is the feasible end of the final bracket:
-    its xi_0 allocation meets the floor with >= at the given SNRs.
+    the floor.  mu0 is the eta = 0 level, as `waterfill_comm` returns it;
+    it is the first entry of the trace.  The returned pair is the feasible
+    end of the final bracket: its xi_0 allocation meets the floor with >=
+    at the given SNRs.
     """
     gamma_c = np.asarray(gamma_c, dtype=float)
     gamma_s = np.asarray(gamma_s, dtype=float)
@@ -392,17 +407,17 @@ def dual_iterate_comm(
     if np.min(k2gs) <= 0:
         raise ValueError("gamma_s must be strictly positive in the coupled case")
 
-    def sensing_info(eta):
+    def info_excess(eta):
         mu, p = _budget_level(1.0, eta * k2gs, gamma_c, p_max)
-        return float(np.sum(k2gs * p)), mu
+        return float(np.sum(k2gs * p)) - target_info, mu
 
-    trace = DualTrace()
-    evaluate = _traced(sensing_info, trace)
-    s0, mu0 = evaluate(0.0)
+    trace = DualTrace(mu=[mu0], eta=[0.0])
+    s0 = float(np.sum(k2gs * _comm_allocation(gamma_c, gamma_s, mu0, 0.0, p_max)))
     if s0 >= target_info:
         return DualVariables(mu=mu0, eta=0.0), trace
     # first guess: eta k^2 g_s reaches the eta = 0 level on the best sensing bin
-    eta, mu = _raise_to_floor(evaluate, target_info, s0, mu0 / float(np.max(k2gs)))
+    eta, mu = _raise_to_floor(_traced(info_excess, trace), s0 - target_info,
+                              mu0 / float(np.max(k2gs)), target_info)
     return DualVariables(mu=mu, eta=eta), trace
 
 
@@ -411,28 +426,30 @@ def dual_iterate_sense(
     gamma_s: np.ndarray,
     target_cap_nats: float,
     p_max: float,
+    p_lp: np.ndarray,
 ):
     """Duals (mu, eta) of the coupled sensing case, feasible by construction.
 
     Mirrors the comm version with the psi_0 rule: the capacity
     sum ln(1 + g_c p(mu(eta), eta)) does not decrease with eta and tends to
-    that of the sensing LP as eta -> 0, which is the lower bracket end.
+    that of the sensing LP p_lp, as `sensing_lp` returns it, as eta -> 0;
+    that limit is the lower bracket end.
     """
     gamma_c = np.asarray(gamma_c, dtype=float)
     gamma_s = np.asarray(gamma_s, dtype=float)
     k2gs = _subcarrier_weights(gamma_s.size) * gamma_s
-    s0 = float(np.sum(np.log1p(gamma_c * sensing_lp(gamma_s, p_max))))
+    s0 = float(np.sum(np.log1p(gamma_c * p_lp)))
     if s0 >= target_cap_nats:
         raise ValueError("the sensing LP meets the capacity floor: not the coupled case")
 
-    def capacity(eta):
+    def capacity_excess(eta):
         mu, p = _budget_level(eta, k2gs, gamma_c, p_max)
-        return float(np.sum(np.log1p(gamma_c * p))), mu
+        return float(np.sum(np.log1p(gamma_c * p))) - target_cap_nats, mu
 
     trace = DualTrace()
     # psi_0 levels (mu - k^2 g_s) / eta sit on the scale of g_c
-    eta, mu = _raise_to_floor(_traced(capacity, trace), target_cap_nats, s0,
-                              float(np.max(k2gs) / np.max(gamma_c)))
+    eta, mu = _raise_to_floor(_traced(capacity_excess, trace), s0 - target_cap_nats,
+                              float(np.max(k2gs) / np.max(gamma_c)), target_cap_nats)
     return DualVariables(mu=mu, eta=eta), trace
 
 
@@ -447,7 +464,7 @@ def _subcarrier_step_comm(gamma_c, gamma_s, info_floor, p_max):
         raise InfeasibleProblem(
             "sensing floor exceeds the best achievable information"
         )
-    duals, dtrace = dual_iterate_comm(gamma_c, gamma_s, info_floor, p_max)
+    duals, dtrace = dual_iterate_comm(gamma_c, gamma_s, info_floor, p_max, mu)
     p = _comm_allocation(gamma_c, gamma_s, duals.mu, duals.eta, p_max)
     return p, CASE_C, duals, dtrace
 
@@ -462,7 +479,7 @@ def _subcarrier_step_sense(gamma_c, gamma_s, cap_floor_nats, p_max):
         raise InfeasibleProblem(
             "capacity floor exceeds the water-filling capacity"
         )
-    duals, dtrace = dual_iterate_sense(gamma_c, gamma_s, cap_floor_nats, p_max)
+    duals, dtrace = dual_iterate_sense(gamma_c, gamma_s, cap_floor_nats, p_max, p_lp)
     p = _sense_allocation(gamma_c, gamma_s, duals.mu, duals.eta, p_max)
     return p, CASE_F, duals, dtrace
 

@@ -22,12 +22,11 @@ autocorrelation is even, r_x(n) = r_x(N - n), so the solvers evaluate the
 N/2 + 1 distinct lags and mirror the result onto the rest.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import erfc
 
 from .config import OfdmConfig
 from .channel import ChannelState
@@ -37,8 +36,8 @@ R_X_DOMAIN_TOL = 1e-9
 
 
 def gaussian_q(x: float) -> float:
-    """Standard normal complementary CDF via erfc (relative error < 1e-12)."""
-    return 0.5 * erfc(x / np.sqrt(2.0))
+    """Standard normal complementary CDF of a scalar via math.erfc."""
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def gaussian_pdf(x: float) -> float:
@@ -110,25 +109,6 @@ def _price_core(rho: np.ndarray, c: float, n_gl: int = 192) -> np.ndarray:
         kernel = np.ones_like(s)
     g = (rho[:, None] - s) * kernel
     return (half / (2.0 * np.pi)) * _row_dot(g, weights)
-
-
-def price_integral(r: float, b: float, sigma_x: float) -> float:
-    """Adaptive-quadrature evaluation of I(r) (absolute error << 1e-10 sigma^2)."""
-    if sigma_x <= 0:
-        raise ValueError("sigma_x must be positive")
-    var = sigma_x**2
-    if abs(r) > var * (1.0 + 1e-12):
-        raise ValueError(f"r must lie in [-sigma_x^2, sigma_x^2], got {r!r}")
-    rho = min(max(r / var, -1.0), 1.0)
-    c = (b / sigma_x) ** 2
-
-    def integrand(theta):
-        s = np.sin(theta)
-        w = np.exp(-c / (1.0 + s)) if s > -1.0 else 0.0
-        return (rho - s) * w / (2.0 * np.pi)
-
-    val, _ = quad(integrand, -np.pi / 2.0, np.arcsin(rho), epsabs=1e-13, epsrel=1e-12, limit=200)
-    return var * val
 
 
 def signal_autocorrelation(p_norm: np.ndarray, ac_power: float, n: int) -> np.ndarray:

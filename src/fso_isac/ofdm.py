@@ -1,8 +1,8 @@
 """DCO-OFDM frame synthesis.
 
-Builds Hermitian-symmetric frequency grids with Gaussian subcarrier symbols,
-converts them to real time-domain sample streams (IDFT, cyclic prefix, DC
-bias, non-negative clipping).
+Builds Hermitian-symmetric frequency grids with Gaussian subcarrier symbols
+and converts them to real, unbiased time-domain sample streams (IDFT and
+cyclic prefix); the Monte Carlo harness adds the DC bias and clips.
 
 Power conventions: a normalized allocation p_norm over data subcarriers
 k in [1, N/2) sums to 1/2; each bin of a Hermitian pair carries
@@ -57,23 +57,21 @@ class FrequencyGrid:
 
 @dataclass(frozen=True)
 class TimeSignal:
-    """Real sample streams at rate R_s, serialized symbol-by-symbol with CP.
+    """Real sample stream at rate R_s, serialized symbol-by-symbol with CP.
 
     Attributes:
-        samples: transmitted stream; {x(n)+b}^+ when clipped, else x(n)+b.
-        pre_clip: the unbiased, unclipped stream x(n) (same layout).
+        pre_clip: the unbiased, unclipped stream x(n).
         cp_samples: cyclic-prefix length per symbol.
         n_fft: IDFT size (subcarriers per symbol).
     """
 
-    samples: np.ndarray
     pre_clip: np.ndarray
     cp_samples: int
     n_fft: int
 
     @property
     def n_symbols(self) -> int:
-        return self.samples.size // (self.n_fft + self.cp_samples)
+        return self.pre_clip.size // (self.n_fft + self.cp_samples)
 
     def symbol_cores(self) -> np.ndarray:
         """Pre-clip sample matrix (n_symbols, N) with prefixes stripped."""
@@ -115,10 +113,11 @@ def to_time_domain(
     grid: FrequencyGrid,
     cfg: OfdmConfig,
     bias: float,
-    clip: bool = True,
 ) -> TimeSignal:
-    """IDFT each symbol (1/sqrt(N) normalization), prepend the cyclic
-    prefix, add the DC bias, and optionally clip negatives to zero."""
+    """IDFT each symbol (1/sqrt(N) normalization) and prepend the cyclic
+    prefix.  The bias, in [0, sqrt(P)], sets the signal variance
+    (P - b^2) / N that the Hermitian-symmetry check scales with; it is not
+    added to the stream."""
     if not 0.0 <= bias <= cfg.power_w**0.5:
         raise ValueError("bias must lie in [0, sqrt(P)]")
     n = cfg.n_subcarriers
@@ -132,7 +131,4 @@ def to_time_domain(
     core = core.real
     cp = cfg.guard_samples
     with_cp = np.concatenate([core[n - cp :, :], core], axis=0) if cp else core
-    stream = with_cp.T.reshape(-1)
-    biased = stream + bias
-    samples = np.maximum(biased, 0.0) if clip else biased
-    return TimeSignal(samples=samples, pre_clip=stream, cp_samples=cp, n_fft=n)
+    return TimeSignal(pre_clip=with_cp.T.reshape(-1), cp_samples=cp, n_fft=n)

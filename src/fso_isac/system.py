@@ -12,7 +12,7 @@ import numpy as np
 from .channel import ChannelState
 from .clipping import ClippingStats, SnrProfile, compute_clipping_stats, snr_profiles
 from .config import OfdmConfig
-from .metrics import MetricReport, fisher_information, metric_report, spectral_efficiency
+from .metrics import MetricReport, fisher_information, metric_report
 
 
 @dataclass(frozen=True)
@@ -26,9 +26,6 @@ class SystemModel:
     def snr(self, b: float, p_norm: np.ndarray) -> SnrProfile:
         stats = self.clipping_stats(b, p_norm)
         return snr_profiles(stats, self.chan, self.cfg, b)
-
-    def capacity(self, b: float, p_norm: np.ndarray) -> float:
-        return spectral_efficiency(self.snr(b, p_norm), p_norm, self.cfg)
 
     def fisher(self, b: float, p_norm: np.ndarray) -> float:
         return fisher_information(self.snr(b, p_norm), p_norm, self.cfg)

@@ -26,7 +26,7 @@ from fso_isac.allocator import (
 )
 from fso_isac.clipping import SnrProfile
 from fso_isac.config import OfdmConfig
-from fso_isac.metrics import varsigma_sq_from_precision
+from fso_isac.metrics import spectral_efficiency, varsigma_sq_from_precision
 
 from conftest import uniform_allocation
 
@@ -61,6 +61,17 @@ ORACLE_P_F = np.array([
 ])
 ORACLE_MU_F = 215.84691166753603
 ORACLE_ETA_F = 10.938362133998115
+
+
+def comm_duals(gamma_c, gamma_s, target, p_max):
+    """dual_iterate_comm from the eta = 0 water-filling level, as the BCD step calls it."""
+    _, mu0 = waterfill_comm(gamma_c, gamma_s, 0.0, p_max)
+    return dual_iterate_comm(gamma_c, gamma_s, target, p_max, mu0)
+
+
+def sense_duals(gamma_c, gamma_s, target, p_max):
+    """dual_iterate_sense from the sensing LP, as the BCD step calls it."""
+    return dual_iterate_sense(gamma_c, gamma_s, target, p_max, sensing_lp(gamma_s, p_max))
 
 
 class TestGoldenSection:
@@ -109,11 +120,15 @@ class TestSolveBias:
         # noise-dominated regime: argmax of the capacity against a dense scan
         p = uniform_allocation(desk_model.cfg)
         b_star, _ = solve_bias("capacity", p, desk_model)
+
+        def capacity(b):
+            return spectral_efficiency(desk_model.snr(b, p), p, desk_model.cfg)
+
         grid = np.linspace(0.0, np.sqrt(desk_model.cfg.power_w) * (1 - 1e-12), 2000)
-        vals = [desk_model.capacity(b, p) for b in grid]
+        vals = [capacity(b) for b in grid]
         b_grid = grid[int(np.argmax(vals))]
         assert abs(b_star - b_grid) < 2e-3  # grid spacing + golden tolerance
-        assert desk_model.capacity(b_star, p) >= max(vals) - 1e-9
+        assert capacity(b_star) >= max(vals) - 1e-9
 
     def test_rejects_unknown_objective(self, desk_model):
         with pytest.raises(ValueError):
@@ -161,6 +176,7 @@ class TestWaterfill:
             p_max = rng.uniform(0.5 / n * 1.2, 0.45)
             p, mu = waterfill_comm(gamma_c, gamma_s, eta, p_max)
             assert abs(p.sum() - 0.5) < 1e-10
+            assert p.sum() <= 0.5  # the level is the feasible end of its bracket
             assert np.all(p >= 0) and np.all(p <= p_max + 1e-12)
             assert mu >= 0
 
@@ -246,7 +262,7 @@ class TestDualIterateComm:
         assert mu == pytest.approx(ORACLE_MU_A, rel=1e-5)
 
     def test_oracle_fixture_case_c(self):
-        duals, trace = dual_iterate_comm(
+        duals, trace = comm_duals(
             N16_GAMMA_C, N16_GAMMA_S, N16_INFO_TARGET, N16_P_MAX
         )
         p = _comm_allocation(N16_GAMMA_C, N16_GAMMA_S, duals.mu, duals.eta, N16_P_MAX)
@@ -255,7 +271,7 @@ class TestDualIterateComm:
         assert duals.eta == pytest.approx(ORACLE_ETA_C, rel=1e-5)
 
     def test_lemma2_region(self):
-        duals, trace = dual_iterate_comm(
+        duals, trace = comm_duals(
             N16_GAMMA_C, N16_GAMMA_S, N16_INFO_TARGET, N16_P_MAX
         )
         k2gs = _subcarrier_weights(7) * N16_GAMMA_S
@@ -266,7 +282,7 @@ class TestDualIterateComm:
 
 class TestDualIterateSense:
     def test_oracle_fixture_case_f(self):
-        duals, trace = dual_iterate_sense(
+        duals, trace = sense_duals(
             N16_GAMMA_C, N16_GAMMA_S, N16_CAP_TARGET_NATS, N16_P_MAX
         )
         p = _sense_allocation(N16_GAMMA_C, N16_GAMMA_S, duals.mu, duals.eta, N16_P_MAX)
@@ -275,7 +291,7 @@ class TestDualIterateSense:
         assert duals.eta == pytest.approx(ORACLE_ETA_F, rel=1e-5)
 
     def test_defining_equations(self):
-        duals, _ = dual_iterate_sense(
+        duals, _ = sense_duals(
             N16_GAMMA_C, N16_GAMMA_S, N16_CAP_TARGET_NATS, N16_P_MAX
         )
         p = _sense_allocation(N16_GAMMA_C, N16_GAMMA_S, duals.mu, duals.eta, N16_P_MAX)
@@ -287,9 +303,9 @@ class TestDualIterateSense:
 N16_K2GS = _subcarrier_weights(7) * N16_GAMMA_S
 N16_DUALS = {
     # dual solver, its allocation rule, the floored metric, the floor
-    "comm": (dual_iterate_comm, _comm_allocation,
+    "comm": (comm_duals, _comm_allocation,
              lambda p: float(np.sum(N16_K2GS * p)), N16_INFO_TARGET),
-    "sense": (dual_iterate_sense, _sense_allocation,
+    "sense": (sense_duals, _sense_allocation,
               lambda p: float(np.sum(np.log1p(N16_GAMMA_C * p))), N16_CAP_TARGET_NATS),
 }
 
@@ -316,6 +332,24 @@ class TestCoupledDuals:
         with pytest.raises(DualIterationError) as exc:
             solve(N16_GAMMA_C, N16_GAMMA_S, target, N16_P_MAX)
         assert len(exc.value.trace.mu) == len(exc.value.trace.eta) == 1
+
+    def test_lower_end_solved_once(self, mode, monkeypatch):
+        # the BCD step hands its eta = 0 end (the water-filling level or the
+        # sensing LP) to the dual instead of solving it a second time
+        calls = {"_budget_level": 0, "sensing_lp": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(allocator, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(allocator, name, counted)
+        step = {"comm": allocator._subcarrier_step_comm,
+                "sense": allocator._subcarrier_step_sense}[mode]
+        _, case, _, trace = step(N16_GAMMA_C, N16_GAMMA_S, N16_DUALS[mode][3], N16_P_MAX)
+        assert case == {"comm": CASE_C, "sense": CASE_F}[mode]
+        # comm: the eta = 0 level is the trace's first entry; sense: one
+        # water-filling tells case F from the infeasible case E
+        assert calls == {"_budget_level": len(trace.eta) + (mode == "sense"),
+                         "sensing_lp": 1}
 
 
 def _desk_spec_comm(model, precision_m, p_max=0.04):

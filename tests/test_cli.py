@@ -14,6 +14,14 @@ from fso_isac.monte_carlo import RmsePoint, RmseReport
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
+def src_env(**extra):
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p)
+    return env
+
+
 @pytest.mark.parametrize("command", ["solve", "sweep"])
 def test_seed_rejected_outside_verify(scenario_dir, command, tmp_path):
     argv = [command, "--seed", "1", "--scenario", str(scenario_dir / "desk.json"),
@@ -37,9 +45,7 @@ def test_solve_independent_of_blas_threads(scenario_dir, tmp_path):
     procs = {}
     for threads in ("1", "2"):
         out = tmp_path / threads
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p)
+        env = src_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         procs[threads] = subprocess.Popen(
             [sys.executable, "-m", "fso_isac.cli", "solve",
              "--scenario", str(scenario_dir / "desk.json"), "--out", str(out)],
@@ -50,6 +56,21 @@ def test_solve_independent_of_blas_threads(scenario_dir, tmp_path):
         assert proc.returncode == 0, err.decode()
     for name in ("solution.json", "allocation.csv"):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+def test_runtime_path_loads_no_scipy(scenario_dir):
+    # SciPy is a test dependency only: the CLI and the scenario loader must
+    # not import it
+    code = (
+        "import sys, fso_isac.cli\n"
+        "from fso_isac.scenario import load_scenario\n"
+        f"load_scenario({str(scenario_dir / 'desk.json')!r})\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def desk_scenario(scenario_dir, tmp_path, **problem):

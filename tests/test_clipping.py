@@ -13,7 +13,6 @@ from fso_isac.clipping import (
     clip_moments,
     clipping_psd,
     compute_clipping_stats,
-    price_integral,
     signal_autocorrelation,
     snr_profiles,
 )
@@ -31,6 +30,27 @@ POWER_WP_B1 = 0.0501682937437156
 def closed_form_b0(r, var=1.0):
     """I(r) at b = 0: (r asin(r/var) + r pi/2 + sqrt(var^2 - r^2)) / (2 pi)."""
     return (r * np.arcsin(r / var) + r * np.pi / 2 + np.sqrt(var**2 - r**2)) / (2 * np.pi)
+
+
+def price_integral(r, b, sigma_x):
+    """Adaptive-quadrature oracle for I(r) in the sine-substituted form that
+    `_price_core` evaluates by fixed Gauss-Legendre rules (absolute error
+    << 1e-10 sigma^2)."""
+    if sigma_x <= 0:
+        raise ValueError("sigma_x must be positive")
+    var = sigma_x**2
+    if abs(r) > var * (1.0 + 1e-12):
+        raise ValueError(f"r must lie in [-sigma_x^2, sigma_x^2], got {r!r}")
+    rho = min(max(r / var, -1.0), 1.0)
+    c = (b / sigma_x) ** 2
+
+    def integrand(theta):
+        s = np.sin(theta)
+        w = np.exp(-c / (1.0 + s)) if s > -1.0 else 0.0
+        return (rho - s) * w / (2.0 * np.pi)
+
+    val, _ = quad(integrand, -np.pi / 2.0, np.arcsin(rho), epsabs=1e-13, epsrel=1e-12, limit=200)
+    return var * val
 
 
 def nested_quad_oracle(r, b, sigma_x=1.0):
@@ -305,7 +325,7 @@ class TestSignalAutocorrelation:
         n_frames = 150
         for t in range(n_frames):
             grid = generate_frame(desk_cfg, p, rng_seed=[31, t], bias=0.0)
-            x = to_time_domain(grid, desk_cfg, bias=0.0, clip=False).symbol_cores()
+            x = to_time_domain(grid, desk_cfg, bias=0.0).symbol_cores()
             spec = np.fft.fft(x, axis=1)
             acc += np.mean(np.fft.ifft(spec * np.conj(spec), axis=1).real, axis=0)
         emp = acc / n_frames / desk_cfg.n_subcarriers
@@ -364,7 +384,7 @@ class TestMonteCarloAgreement:
         acc_m = acc_p = n = 0.0
         for t in range(70):
             grid = generate_frame(clip_cfg, p, rng_seed=[41, t], bias=b)
-            x = to_time_domain(grid, clip_cfg, bias=b, clip=False).symbol_cores()
+            x = to_time_domain(grid, clip_cfg, bias=b).symbol_cores()
             wp = np.maximum(x + b, 0.0) - b - stats.bussgang * x
             acc_m += wp.sum()
             acc_p += (wp**2).sum()

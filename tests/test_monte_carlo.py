@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 from dataclasses import replace
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from fso_isac.allocator import solve_bias
 from fso_isac.config import OfdmConfig
 from fso_isac.monte_carlo import (
     McCampaign,
+    _fft_len,
     delayed_clipped_stream,
     estimate_tof,
     reference_stream,
@@ -84,13 +85,25 @@ class TestEstimateTof:
 
     def test_fft_equals_direct_correlation(self):
         rng = np.random.default_rng(7)
-        rx = rng.standard_normal(64)
-        ref = rng.standard_normal(64)
-        max_lag = 16
-        direct = [float(np.dot(ref[: 64 - lag], rx[lag:])) for lag in range(max_lag)]
-        best = int(np.argmax(direct))
-        tau = estimate_tof(rx, ref, 1.0, "none", max_lag=max_lag)
-        assert tau == best
+        # 5744 + 103 = 5847 = 3 * 1949, the desk length, pads to 6000
+        for size, max_lag in ((64, 16), (5744, 103)):
+            rx = rng.standard_normal(size)
+            ref = rng.standard_normal(size)
+            direct = [float(np.dot(ref[: size - lag], rx[lag:])) for lag in range(max_lag)]
+            best = int(np.argmax(direct))
+            tau = estimate_tof(rx, ref, 1.0, "none", max_lag=max_lag)
+            assert tau == best
+
+    def test_fft_len_brute_force(self):
+        limit = 10**5
+        smooth = np.array(sorted(
+            2**a * 3**b * 5**c
+            for a in range(19) for b in range(12) for c in range(9)
+            if 2**a * 3**b * 5**c <= 2 * limit
+        ))
+        ns = np.arange(1, limit + 1)
+        expected = smooth[np.searchsorted(smooth, ns)]
+        assert [_fft_len(int(n)) for n in ns] == expected.tolist()
 
     def test_empty_buffers(self):
         with pytest.raises(ValueError):
@@ -103,7 +116,7 @@ class TestDelayedStream:
         grid = generate_frame(small_cfg, p, rng_seed=11, bias=0.3)
         rs = small_cfg.sample_rate
         d = 7
-        plain = to_time_domain(grid, small_cfg, bias=0.3, clip=True).samples
+        plain = np.maximum(to_time_domain(grid, small_cfg, bias=0.3).pre_clip + 0.3, 0.0)
         shifted = delayed_clipped_stream(grid, small_cfg, 0.3, d / rs)
         assert_allclose(shifted[d:], plain[:-d], atol=1e-14)
 
@@ -116,6 +129,24 @@ class TestDelayedStream:
         grid = generate_frame(small_cfg, uniform_allocation(small_cfg), rng_seed=1)
         out = delayed_clipped_stream(grid, small_cfg, 0.05, 3.3 / small_cfg.sample_rate)
         assert np.all(out >= 0)
+
+    def test_zero_grid_bias(self, small_cfg):
+        grid = generate_frame(small_cfg, uniform_allocation(small_cfg), rng_seed=0)
+        zero = type(grid)(x=np.zeros_like(grid.x), p_norm=grid.p_norm)
+        assert_array_equal(delayed_clipped_stream(zero, small_cfg, 0.5, 0.0), 0.5)
+        assert_array_equal(delayed_clipped_stream(zero, small_cfg, 0.0, 0.0), 0.0)
+
+    def test_clip_fraction_at_zero_bias(self, clip_cfg):
+        # Q(0) = 1/2 of the samples clip at b = 0
+        p = uniform_allocation(clip_cfg)
+        total = zeros = 0
+        for t in range(10):
+            grid = generate_frame(clip_cfg, p, rng_seed=[11, t])
+            out = delayed_clipped_stream(grid, clip_cfg, 0.0, 0.0)
+            zeros += int(np.sum(out == 0.0))
+            total += out.size
+        assert total >= 1e5
+        assert zeros / total == pytest.approx(0.5, abs=0.005)
 
 
 @pytest.fixture(scope="module")

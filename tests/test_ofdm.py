@@ -84,7 +84,7 @@ def test_time_domain_real_and_parseval(desk_cfg):
     core = np.fft.ifft(grid.x, axis=0) * np.sqrt(desk_cfg.n_subcarriers)
     sigma_x = np.sqrt(desk_cfg.signal_variance(0.0))
     assert np.max(np.abs(core.imag)) < 1e-10 * sigma_x
-    ts = to_time_domain(grid, desk_cfg, bias=0.0, clip=False)
+    ts = to_time_domain(grid, desk_cfg, bias=0.0)
     # Parseval per symbol: time power == sum |X|^2 / N
     x = ts.symbol_cores()
     lhs = np.sum(x**2, axis=1)
@@ -99,40 +99,18 @@ def test_time_domain_variance_mc(clip_cfg):
     samples = []
     for t in range(40):
         grid = generate_frame(clip_cfg, p, rng_seed=[9, t], bias=b)
-        samples.append(to_time_domain(grid, clip_cfg, bias=b, clip=False).symbol_cores())
+        samples.append(to_time_domain(grid, clip_cfg, bias=b).symbol_cores())
     var = np.concatenate(samples).var()
     assert var == pytest.approx(clip_cfg.signal_variance(b), rel=0.01)
 
 
 def test_zero_grid_bias():
+    # the stream is unbiased: a zero grid stays zero at any bias
     cfg = OfdmConfig(n_symbols=2, n_subcarriers=16, delta_f=1e5, guard_s=0.0, power_w=1.0)
     grid = generate_frame(cfg, np.full(7, 0.5 / 7), rng_seed=0)
     zero = type(grid)(x=np.zeros_like(grid.x), p_norm=grid.p_norm)
-    ts = to_time_domain(zero, cfg, bias=0.5, clip=True)
-    assert_allclose(ts.samples, 0.5, rtol=0, atol=0)
-    ts0 = to_time_domain(zero, cfg, bias=0.0, clip=True)
-    assert_array_equal(ts0.samples, 0.0)
-
-
-def test_clip_fraction_at_zero_bias(clip_cfg):
-    # Q(0) = 1/2 of the samples clip at b = 0
-    p = uniform_allocation(clip_cfg)
-    total = zeros = 0
-    for t in range(10):
-        grid = generate_frame(clip_cfg, p, rng_seed=[11, t])
-        ts = to_time_domain(grid, clip_cfg, bias=0.0, clip=True)
-        zeros += int(np.sum(ts.samples == 0.0))
-        total += ts.samples.size
-    assert total >= 1e5
-    assert zeros / total == pytest.approx(0.5, abs=0.005)
-
-
-def test_clipping_idempotent(desk_cfg):
-    p = uniform_allocation(desk_cfg)
-    grid = generate_frame(desk_cfg, p, rng_seed=3)
-    ts = to_time_domain(grid, desk_cfg, bias=0.1, clip=True)
-    assert_array_equal(np.maximum(ts.samples, 0.0), ts.samples)
-    assert np.all(ts.samples >= 0.0)
+    for b in (0.0, 0.5):
+        assert_array_equal(to_time_domain(zero, cfg, bias=b).pre_clip, 0.0)
 
 
 def test_bias_out_of_range(desk_cfg):
@@ -152,6 +130,6 @@ def test_grid_hermitian_and_real_property(seed, bias_frac):
     grid = generate_frame(cfg, p, rng_seed=seed, bias=b)
     n = cfg.n_subcarriers
     assert_allclose(grid.x[1:n//2], np.conj(grid.x[:n//2:-1]), rtol=0, atol=0)
-    ts = to_time_domain(grid, cfg, bias=b, clip=True)
-    assert np.all(ts.samples >= 0)
-    assert ts.pre_clip.shape == ts.samples.shape
+    ts = to_time_domain(grid, cfg, bias=b)
+    assert ts.pre_clip.dtype == np.float64
+    assert ts.pre_clip.shape == (cfg.n_symbols * (n + cfg.guard_samples),)
