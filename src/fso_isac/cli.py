@@ -10,7 +10,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +164,8 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args)
     jobs = [(scenario_json, args.param, v) for v in values]
     if args.workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(_sweep_point, *zip(*jobs)))
     else:

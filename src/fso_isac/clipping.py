@@ -2,8 +2,23 @@
 
 Non-negative clipping of the biased Gaussian signal x(n) + b is decomposed
 as x^+(n) = K x(n) + w_p(n) with the linear gain K = Q(-b/sigma_x); the
-residual w_p is uncorrelated with x.  Its autocorrelation at signal
-autocorrelation r is
+residual w_p is uncorrelated with x.  Lag 0 of its autocorrelation is the
+closed-form E(w_p^2); every other lag is a function of the normalized
+signal autocorrelation rho = r_x / sigma_x^2, evaluated one of two ways.
+
+Where |rho| <= 1/2 (almost every lag of a spread allocation) it is the
+Mehler (Hermite) expansion of the clipper (Van Vleck & Middleton 1966):
+with lam = -b/sigma_x, the clipper's Hermite coefficients for n >= 2 are
+sigma_x phi(lam) He_{n-2}(lam), so
+
+    R_wp(rho) = E(w_p)^2 + sigma_x^2 phi(lam)^2
+                * sum_{n>=2} He_{n-2}(lam)^2 rho^n / n!.
+
+Cramer's bound on He_m limits the tail beyond a fixed number of terms at
+|rho| <= 1/2, and Horner's rule sums them.
+
+Above 1/2 the series converges too slowly, and the lag falls back to the
+Price-integral form
 
     R_wp(r) = I(r) + C1 * r + C2,
 
@@ -17,9 +32,9 @@ root edge singularity:
     c = (b / sigma_x)^2.
 
 The integrand is smooth and bounded, so fixed-order Gauss-Legendre rules
-evaluate it to near machine precision at every lag directly.  The signal
-autocorrelation is even, r_x(n) = r_x(N - n), so the solvers evaluate the
-N/2 + 1 distinct lags and mirror the result onto the rest.
+evaluate it directly.  The signal autocorrelation is even,
+r_x(n) = r_x(N - n), so the solvers evaluate the N/2 + 1 distinct lags
+and mirror the result onto the rest.
 """
 
 import math
@@ -33,6 +48,13 @@ from .channel import ChannelState
 from .ofdm import validate_p_norm
 
 R_X_DOMAIN_TOL = 1e-9
+# Lags with |rho| <= MEHLER_CUT take the Mehler series and the rest the
+# quadrature: the series tail shrinks like |rho|^n / n^2, so near |rho| = 1
+# no short series reaches double precision.
+MEHLER_CUT = 0.5
+# Series terms n = 2..47.  Cramer's bound |He_m| <= 1.09 sqrt(m!) e^{lam^2/4}
+# caps the tail beyond them at 5.8e-19 sigma_x^2 for |rho| <= 1/2.
+MEHLER_TERMS = 46
 
 
 def gaussian_q(x: float) -> float:
@@ -124,30 +146,65 @@ def signal_autocorrelation(p_norm: np.ndarray, ac_power: float, n: int) -> np.nd
     return np.fft.ifft(spectrum).real
 
 
+def _mehler_series(rho: np.ndarray, lam: float) -> np.ndarray:
+    """sum_{n>=2} phi(lam)^2 He_{n-2}(lam)^2 rho^n / n! by Horner's rule.
+
+    g_m = phi(lam) He_m(lam) / sqrt(m!) follows the normalized Hermite
+    recurrence; carrying phi(lam) keeps every g_m below 1.09/sqrt(2 pi)
+    (Cramer's bound), where the unscaled values overflow at deep bias.
+    Once phi(lam)^2 is subnormal, the same bound puts the whole sum below
+    1.1e-155 at |rho| <= 1/2, and zeros are returned: summed, such terms
+    come out subnormal, too coarse for the PSD's evenness check.  The sum
+    runs elementwise in a fixed order, so a lag evaluated alone and inside
+    a vector gives bit-identical results.
+    """
+    phi = float(gaussian_pdf(lam))
+    if phi * phi < np.finfo(float).tiny:
+        return np.zeros_like(rho)
+    coef = np.empty(MEHLER_TERMS)
+    g_prev, g = 0.0, phi
+    for m in range(MEHLER_TERMS):
+        coef[m] = g * g / ((m + 2) * (m + 1))
+        g_prev, g = g, (lam * g - math.sqrt(m) * g_prev) / math.sqrt(m + 1)
+    acc = np.full_like(rho, coef[-1])
+    for a in coef[-2::-1]:
+        acc *= rho
+        acc += a
+    return acc * rho * rho
+
+
 def _r_wp(b: float, sigma_x: float, r: np.ndarray) -> tuple[float, float, np.ndarray]:
     """(E(w_p), E(w_p^2), R_wp) at the lags r, where r[0] is lag 0.
 
-    R_wp as in `autocorrelation`, with the endpoint integrals I(0) and
-    I(var) at high order.  The caller validates r: `compute_clipping_stats`
+    R_wp as in `autocorrelation`: the Mehler series where |rho| <= 1/2,
+    the quadrature form with the endpoint integrals I(0) and I(var) at
+    high order above that.  The caller validates r: `compute_clipping_stats`
     admits allocations whose r[0] lies up to 2e-9 off var, beyond the
     domain check of `autocorrelation`.
     """
     var = sigma_x**2
-    c = (b / sigma_x) ** 2
     mean_wp, power_wp = clip_moments(b, sigma_x)
-    i_zero, i_var = var * _price_core(np.array([0.0, 1.0]), c, n_gl=384)
-    c2 = mean_wp**2 - i_zero
-    c1 = (power_wp - c2 - i_var) / var
-    r_wp = var * _price_core(r / var, c) + c1 * r + c2
+    rho = r[1:] / var
+    quad = np.abs(rho) > MEHLER_CUT
+    r_wp = np.empty(r.size)
     r_wp[0] = power_wp
+    lags = r_wp[1:]
+    lags[~quad] = mean_wp**2 + var * _mehler_series(rho[~quad], -b / sigma_x)
+    if quad.any():
+        c = (b / sigma_x) ** 2
+        i_zero, i_var = var * _price_core(np.array([0.0, 1.0]), c, n_gl=384)
+        c2 = mean_wp**2 - i_zero
+        c1 = (power_wp - c2 - i_var) / var
+        lags[quad] = var * _price_core(rho[quad], c) + c1 * r[1:][quad] + c2
     return mean_wp, power_wp, r_wp
 
 
 def autocorrelation(b: float, sigma_x: float, r_x: np.ndarray) -> np.ndarray:
     """Clipping-noise autocorrelation over the lags of r_x.
 
-    Lag 0 is pinned to E(w_p^2) exactly; other lags use R_wp = I(r) + C1 r
-    + C2 with C2 = E(w_p)^2 - I(0) and C1 = (E(w_p^2) - C2 - I(var)) / var.
+    Lag 0 is pinned to E(w_p^2) exactly.  Other lags take the Mehler
+    series where |r| <= var/2, and R_wp = I(r) + C1 r + C2 above that, with
+    C2 = E(w_p)^2 - I(0) and C1 = (E(w_p^2) - C2 - I(var)) / var.
     """
     r_x = np.asarray(r_x, dtype=float)
     var = sigma_x**2

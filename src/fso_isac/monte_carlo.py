@@ -15,6 +15,7 @@ the prefixes.
 """
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,6 +55,7 @@ class McCampaign:
             raise ValueError("true_tof must be non-negative")
 
 
+@lru_cache(maxsize=16)
 def _fft_len(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n.
 

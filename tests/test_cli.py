@@ -60,12 +60,13 @@ def test_solve_independent_of_blas_threads(scenario_dir, tmp_path):
 
 def test_runtime_path_loads_no_scipy(scenario_dir):
     # SciPy is a test dependency only: the CLI and the scenario loader must
-    # not import it
+    # not import it, nor the process pool that only `sweep --workers` uses
     code = (
         "import sys, fso_isac.cli\n"
         "from fso_isac.scenario import load_scenario\n"
         f"load_scenario({str(scenario_dir / 'desk.json')!r})\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        "             or m == 'concurrent.futures.process'))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
                           capture_output=True, text=True, timeout=120)

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from fso_isac.channel import ChannelState
 from fso_isac.clipping import (
+    MEHLER_CUT,
     R_X_DOMAIN_TOL,
     _price_core,
     autocorrelation,
@@ -25,6 +26,8 @@ from conftest import lp_step_allocation, uniform_allocation
 Q_MINUS_3 = 0.9986501019683699
 MEAN_WP_B1 = 0.0833154705876863
 POWER_WP_B1 = 0.0501682937437156
+# lam = -b/sigma_x from no clipping to none at all
+SERIES_LAMS = (0.0, -0.3, -1.0, -2.0, -3.5, -6.0, -10.0)
 
 
 def closed_form_b0(r, var=1.0):
@@ -51,6 +54,17 @@ def price_integral(r, b, sigma_x):
 
     val, _ = quad(integrand, -np.pi / 2.0, np.arcsin(rho), epsabs=1e-13, epsrel=1e-12, limit=200)
     return var * val
+
+
+def quadrature_r_wp(b, sigma_x, r):
+    """I(r) + C1 r + C2 with every integral by 384-node Gauss-Legendre."""
+    var = sigma_x**2
+    c = (b / sigma_x) ** 2
+    mean, power = clip_moments(b, sigma_x)
+    i_zero, i_var = var * _price_core(np.array([0.0, 1.0]), c, n_gl=384)
+    c2 = mean**2 - i_zero
+    c1 = (power - c2 - i_var) / var
+    return var * _price_core(r / var, c, n_gl=384) + c1 * r + c2
 
 
 def nested_quad_oracle(r, b, sigma_x=1.0):
@@ -274,6 +288,59 @@ class TestAutocorrelation:
             autocorrelation(0.1, 1.0, np.array([0.9, 0.1]))
         with pytest.raises(ValueError):
             autocorrelation(0.1, 1.0, np.array([1.0, 1.2]))
+
+
+class TestMehlerSeries:
+    @pytest.mark.parametrize("lam", SERIES_LAMS)
+    def test_matches_quadrature(self, lam):
+        sigma = 1.3
+        var = sigma**2
+        r = np.linspace(-0.5, 0.5, 201) * var
+        r_wp = autocorrelation(-lam * sigma, sigma, np.concatenate([[var], r]))
+        err = np.max(np.abs(r_wp[1:] - quadrature_r_wp(-lam * sigma, sigma, r)))
+        assert err <= 2e-15 * var
+
+    @pytest.mark.parametrize("lam", SERIES_LAMS + (-0.05,))
+    def test_seam(self, lam):
+        # the series at rho = 1/2 against the quadrature one float above it.
+        # The gap is the 192-node quadrature's own error: against a 40-digit
+        # evaluation it is 4.3e-15 at lam = -0.3 and 1.13e-14 at lam = -0.05,
+        # the worst of 201 lam in [-10, 0], where the series is within 1e-16
+        rho = np.array([1.0, MEHLER_CUT, np.nextafter(MEHLER_CUT, 1.0)])
+        r_wp = autocorrelation(-lam, 1.0, rho)
+        assert abs(r_wp[1] - r_wp[2]) <= 1.2e-14
+
+    @pytest.mark.parametrize("n", [256, 1024, 4096])
+    def test_deep_bias_finite(self, n):
+        # b = sqrt(P)(1 - 1e-12) leaves lam ~ -4.5e7 at N = 4096, where the
+        # Hermite values overflow unless scaled by phi(lam)
+        cfg = OfdmConfig(n_symbols=1, n_subcarriers=n, delta_f=2e5,
+                         guard_s=2e-6, power_w=1.0)
+        b = np.sqrt(cfg.power_w) * (1.0 - 1e-12)
+        stats = compute_clipping_stats(b, uniform_allocation(cfg), cfg)
+        assert np.all(np.isfinite(stats.p_wp))
+
+    def test_subnormal_bias_window(self, desk_cfg):
+        # lam from -26.4 to -30.4 on a low-band allocation with no lag above
+        # the cut: phi(lam)^2 turns subnormal here, and a sum of subnormal
+        # terms fails the PSD evenness check (b = 0.875, lam = -28.9)
+        p = np.zeros(desk_cfg.n_data_subcarriers)
+        p[:88] = 0.5 / 88
+        for b in np.linspace(0.855, 0.885, 61):
+            stats = compute_clipping_stats(b, p, desk_cfg)
+            assert np.all(np.isfinite(stats.p_wp))
+
+    def test_per_lag_matches_vector(self):
+        # N = 1024 with lags on both sides of the cut: every lag of the
+        # full vector must equal its own scalar evaluation bit for bit
+        r_x = signal_autocorrelation(lp_step_allocation(511, 0.01), 1.0, 1024)
+        sigma = np.sqrt(r_x[0])
+        rho = np.abs(r_x[1:]) / r_x[0]
+        assert np.any(rho > MEHLER_CUT) and np.any(rho <= MEHLER_CUT)
+        b = 0.8 * sigma
+        full = autocorrelation(b, sigma, r_x)
+        single = [autocorrelation(b, sigma, r_x[[0, k]])[1] for k in range(1, r_x.size)]
+        assert_array_equal(full[1:], single)
 
 
 class TestClippingPsd:
