@@ -26,7 +26,7 @@ from conftest import lp_step_allocation, uniform_allocation
 Q_MINUS_3 = 0.9986501019683699
 MEAN_WP_B1 = 0.0833154705876863
 POWER_WP_B1 = 0.0501682937437156
-# lam = -b/sigma_x from no clipping to none at all
+# lam = -b/sigma_x from half the samples clipped (lam = 0) to almost none
 SERIES_LAMS = (0.0, -0.3, -1.0, -2.0, -3.5, -6.0, -10.0)
 
 
@@ -304,8 +304,9 @@ class TestMehlerSeries:
     def test_seam(self, lam):
         # the series at rho = 1/2 against the quadrature one float above it.
         # The gap is the 192-node quadrature's own error: against a 40-digit
-        # evaluation it is 4.3e-15 at lam = -0.3 and 1.13e-14 at lam = -0.05,
-        # the worst of 201 lam in [-10, 0], where the series is within 1e-16
+        # evaluation that side errs by 4.3e-15 at lam = -0.3 and by 1.13e-14
+        # at lam = -0.05 (the worst of 201 lam in [-10, 0]), the series side
+        # by less than 1e-16
         rho = np.array([1.0, MEHLER_CUT, np.nextafter(MEHLER_CUT, 1.0)])
         r_wp = autocorrelation(-lam, 1.0, rho)
         assert abs(r_wp[1] - r_wp[2]) <= 1.2e-14
