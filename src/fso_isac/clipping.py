@@ -152,15 +152,10 @@ def _mehler_series(rho: np.ndarray, lam: float) -> np.ndarray:
     g_m = phi(lam) He_m(lam) / sqrt(m!) follows the normalized Hermite
     recurrence; carrying phi(lam) keeps every g_m below 1.09/sqrt(2 pi)
     (Cramer's bound), where the unscaled values overflow at deep bias.
-    Once phi(lam)^2 is subnormal, the same bound puts the whole sum below
-    1.1e-155 at |rho| <= 1/2, and zeros are returned: summed, such terms
-    come out subnormal, too coarse for the PSD's evenness check.  The sum
-    runs elementwise in a fixed order, so a lag evaluated alone and inside
-    a vector gives bit-identical results.
+    The sum runs elementwise in a fixed order, so a lag evaluated alone
+    and inside a vector gives bit-identical results.
     """
     phi = float(gaussian_pdf(lam))
-    if phi * phi < np.finfo(float).tiny:
-        return np.zeros_like(rho)
     coef = np.empty(MEHLER_TERMS)
     g_prev, g = 0.0, phi
     for m in range(MEHLER_TERMS):
@@ -181,15 +176,24 @@ def _r_wp(b: float, sigma_x: float, r: np.ndarray) -> tuple[float, float, np.nda
     high order above that.  The caller validates r: `compute_clipping_stats`
     admits allocations whose r[0] lies up to 2e-9 off var, beyond the
     domain check of `autocorrelation`.
+
+    Once phi(lam)^2 is subnormal (lam = -b/sigma_x below about -26.6),
+    Cramer's bound puts R_wp - E(w_p)^2 below 1e-154 var at every
+    |rho| <= 1, and every lag but 0 is E(w_p)^2: computed, the remainder
+    comes out subnormal, too coarse for the PSD's evenness check.
     """
     var = sigma_x**2
     mean_wp, power_wp = clip_moments(b, sigma_x)
+    lam = -b / sigma_x
+    r_wp = np.full(r.size, mean_wp**2)
+    r_wp[0] = power_wp
+    phi = float(gaussian_pdf(lam))
+    if phi * phi < np.finfo(float).tiny:
+        return mean_wp, power_wp, r_wp
     rho = r[1:] / var
     quad = np.abs(rho) > MEHLER_CUT
-    r_wp = np.empty(r.size)
-    r_wp[0] = power_wp
     lags = r_wp[1:]
-    lags[~quad] = mean_wp**2 + var * _mehler_series(rho[~quad], -b / sigma_x)
+    lags[~quad] += var * _mehler_series(rho[~quad], lam)
     if quad.any():
         c = (b / sigma_x) ** 2
         i_zero, i_var = var * _price_core(np.array([0.0, 1.0]), c, n_gl=384)

@@ -47,6 +47,15 @@ def lp_step_allocation(n_data: int, p_max: float) -> np.ndarray:
     return p
 
 
+def mirrored_grid(x: np.ndarray, n: int) -> np.ndarray:
+    """Full N-bin grid (..., N, M) of a half-spectrum grid (..., N/2+1, M):
+    bins N/2+1..N-1 are the conjugates of N/2-1..1."""
+    full = np.zeros(x.shape[:-2] + (n, x.shape[-1]), dtype=complex)
+    full[..., : n // 2 + 1, :] = x
+    full[..., n // 2 + 1 :, :] = np.conj(x[..., n // 2 - 1 : 0 : -1, :])
+    return full
+
+
 @pytest.fixture(scope="session")
 def desk_cfg():
     return OfdmConfig(n_symbols=16, n_subcarriers=256, delta_f=2e5,

@@ -331,6 +331,25 @@ class TestMehlerSeries:
             stats = compute_clipping_stats(b, p, desk_cfg)
             assert np.all(np.isfinite(stats.p_wp))
 
+    @pytest.mark.parametrize("n, p_max, lo, hi", [
+        (256, 0.04, 0.9201, 0.9220),
+        (1024, 0.01, 0.7613, 0.7658),
+        (4096, 0.0025, 0.5059, 0.5114),
+    ])
+    def test_subnormal_bias_window_above_cut(self, n, p_max, lo, hi):
+        # lam near -37.5 on a sensing-LP step allocation, which has lags
+        # above the cut: the quadrature lags came out subnormal there and
+        # most of these biases failed the PSD evenness check
+        cfg = OfdmConfig(n_symbols=1, n_subcarriers=n, delta_f=2e5,
+                         guard_s=2e-6, power_w=1.0)
+        p = lp_step_allocation(cfg.n_data_subcarriers, p_max)
+        rho = np.abs(signal_autocorrelation(p, 1.0, n)[1:]) * n
+        assert np.any(rho > MEHLER_CUT)
+        for b in np.linspace(lo, hi, 13):
+            stats = compute_clipping_stats(b, p, cfg)
+            assert_array_equal(stats.r_wp[1:], stats.mean_wp**2)
+            assert np.all(np.isfinite(stats.p_wp))
+
     def test_per_lag_matches_vector(self):
         # N = 1024 with lags on both sides of the cut: every lag of the
         # full vector must equal its own scalar evaluation bit for bit

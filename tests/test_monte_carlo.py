@@ -3,10 +3,14 @@ import pytest
 from dataclasses import replace
 from numpy.testing import assert_allclose, assert_array_equal
 
+from fso_isac import monte_carlo
 from fso_isac.allocator import solve_bias
-from fso_isac.config import OfdmConfig
+from fso_isac.channel import sample_turbulence
+from fso_isac.clipping import compute_clipping_stats
+from fso_isac.config import SPEED_OF_LIGHT, OfdmConfig
 from fso_isac.monte_carlo import (
     McCampaign,
+    RmseReport,
     _fft_len,
     delayed_clipped_stream,
     estimate_tof,
@@ -17,7 +21,12 @@ from fso_isac.monte_carlo import (
 from fso_isac.ofdm import generate_frame, to_time_domain
 from fso_isac.system import SystemModel
 
-from conftest import lp_step_allocation, reference_channel, uniform_allocation
+from conftest import (
+    lp_step_allocation,
+    mirrored_grid,
+    reference_channel,
+    uniform_allocation,
+)
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +41,108 @@ def lowband_allocation(cfg, frac=0.7):
     p = np.zeros(n)
     p[:used] = 0.5 / used
     return p
+
+
+def full_grid_stream(full, cfg):
+    """Unbiased stream of a full N-bin grid by complex IDFT, with prefixes."""
+    n, cp = cfg.n_subcarriers, cfg.guard_samples
+    core = (np.fft.ifft(full, axis=0) * np.sqrt(n)).real
+    return np.concatenate([core[n - cp :], core]).T.reshape(-1)
+
+
+def oracle_rmse_errors(campaign, model, b, p):
+    """Range errors of a one-trial-at-a-time loop: full mirrored grid,
+    complex IDFT, 1-D estimate_tof; draws frame, turbulence, noise."""
+    cfg, chan = model.cfg, model.chan
+    n, cp, rs = cfg.n_subcarriers, cfg.guard_samples, cfg.sample_rate
+    norm = 2.0 * chan.reflectivity**2 * chan.gain_sq_s()
+    ramp = np.exp(-2j * np.pi * np.fft.fftfreq(n, d=1.0 / rs) * campaign.true_tof)
+    d_prev = int(np.ceil(campaign.true_tof * rs - 1e-9))
+    out = []
+    for i_snr, snr_db in enumerate(campaign.snr_sweep):
+        sigma_v = np.sqrt(10.0 ** (snr_db / 10.0) * cfg.bandwidth_hz / norm)
+        errors = []
+        for t in range(campaign.trials):
+            rng = np.random.default_rng([campaign.rng_seed, i_snr, t])
+            full = mirrored_grid(generate_frame(cfg, p, rng_seed=rng, bias=b).x, n)
+            windows = full_grid_stream(full * ramp[:, None], cfg).reshape(cfg.n_symbols, -1)
+            windows[1:, :d_prev] = windows[:-1, cp : cp + d_prev]
+            clean = np.maximum(windows.reshape(-1) + b, 0.0)
+            if chan.sigma_t2_s > 0:
+                clean = clean * sample_turbulence(chan.sigma_t2_s, rng, 1)
+            rx = clean + sigma_v * rng.standard_normal(clean.size)
+            rx -= rx.mean()
+            ref = full_grid_stream(full, cfg).reshape(cfg.n_symbols, -1)
+            ref[:, :cp] = 0.0
+            tau = estimate_tof(rx, ref.reshape(-1), rs, max_lag=cp)
+            errors.append(0.5 * SPEED_OF_LIGHT * (tau - campaign.true_tof))
+        out.append(np.array(errors))
+    return out
+
+
+def oracle_clipping_rows(cfg, b, p, trials, seed):
+    """verify_clipping_model as a one-frame-at-a-time loop over full
+    mirrored grids, with a complex FFT and IFFT per frame."""
+    stats = compute_clipping_stats(b, p, cfg)
+    k_gain, n = stats.bussgang, cfg.n_subcarriers
+    k, mean, power, wx = [], [], [], []
+    sum_xx = sum_wp2 = 0.0
+    r_sum, psd_sum, psd_sumsq = np.zeros(n), np.zeros(n), np.zeros(n)
+    for t in range(trials):
+        grid = generate_frame(cfg, p, rng_seed=[seed, t], bias=b)
+        stream = full_grid_stream(mirrored_grid(grid.x, n), cfg)
+        x = stream.reshape(cfg.n_symbols, -1)[:, cfg.guard_samples :]
+        xp = np.maximum(x + b, 0.0)
+        wp = xp - b - k_gain * x
+        sum_xx += float(np.sum(x * x))
+        sum_wp2 += float(np.sum(wp * wp))
+        k.append(np.sum(x * xp) / np.sum(x * x))
+        mean.append(wp.mean())
+        power.append(np.mean(wp * wp))
+        wx.append(np.sum(wp * x))
+        spec = np.fft.fft(wp, axis=1)
+        frame_psd = np.mean((spec * np.conj(spec)).real, axis=0) / n
+        psd_sum += frame_psd
+        psd_sumsq += frame_psd**2
+        r_sum += np.mean(np.fft.ifft(spec * np.conj(spec), axis=1).real, axis=0) / n
+
+    def t_stat(values):
+        arr = np.asarray(values)
+        return float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(trials))
+
+    emp_k, se_k = t_stat(k)
+    emp_mean, se_mean = t_stat(mean)
+    emp_power, se_power = t_stat(power)
+    pooled = np.sqrt(sum_xx * max(sum_wp2, 1e-300))
+    emp_rho = float(np.sum(wx) / pooled)
+    se_rho = float(np.std(wx, ddof=1) * np.sqrt(trials) / pooled)
+    r_emp, psd_emp = r_sum / trials, psd_sum / trials
+    psd_se = np.sqrt(np.maximum(psd_sumsq / trials - psd_emp**2, 0.0) / trials)
+    floor_amp = 1e-4 * np.sqrt(stats.sigma_x2)
+    floor_pow = 1e-4 * stats.sigma_x2
+
+    def row(name, ana, emp, floor, tol, se):
+        err = abs(emp - ana) / max(abs(ana), floor)
+        return (name, ana, emp, err, max(tol, 4.0 * se / max(abs(ana), floor)))
+
+    rows = [
+        row("bussgang_gain", k_gain, emp_k, 1e-12, monte_carlo.TOL_MOMENTS, se_k),
+        row("mean_wp", stats.mean_wp, emp_mean, floor_amp, monte_carlo.TOL_MOMENTS, se_mean),
+        row("power_wp", stats.power_wp, emp_power, floor_pow, monte_carlo.TOL_MOMENTS,
+            se_power),
+        row("r_wp_lag0", stats.r_wp[0], r_emp[0], floor_pow, monte_carlo.TOL_R0, se_power),
+    ]
+    lag_floor = 0.25 * stats.power_wp + floor_pow
+    for lag in range(1, monte_carlo.VERIFY_LAGS + 1):
+        rows.append(row(f"r_wp_lag{lag}", stats.r_wp[lag], r_emp[lag], lag_floor,
+                        monte_carlo.TOL_PSD, se_power))
+    psd_scale = max(float(np.mean(stats.p_wp[1:])), n * floor_pow * 1e-2)
+    worst = int(np.argmax(np.abs(psd_emp[1:] - stats.p_wp[1:]))) + 1
+    rows.append(("psd_scaled_max", stats.p_wp[worst], psd_emp[worst],
+                 abs(psd_emp[worst] - stats.p_wp[worst]) / psd_scale,
+                 max(monte_carlo.TOL_PSD, 4.0 * float(np.max(psd_se[1:])) / psd_scale)))
+    rows.append(("corr_wp_x", 0.0, emp_rho, abs(emp_rho), max(3.0 * se_rho, 1e-9)))
+    return rows
 
 
 class TestEstimateTof:
@@ -104,6 +215,19 @@ class TestEstimateTof:
         ns = np.arange(1, limit + 1)
         expected = smooth[np.searchsorted(smooth, ns)]
         assert [_fft_len(int(n)) for n in ns] == expected.tolist()
+
+    def test_stacked_rows_match_single(self):
+        # a (T, S) stack estimates each row bit for bit as a 1-D call
+        rng = np.random.default_rng(8)
+        ref = rng.standard_normal((5, 700))
+        rx = np.roll(ref, 9, axis=-1) + 0.5 * rng.standard_normal((5, 700))
+        for interpolation in ("parabolic", "none"):
+            taus = estimate_tof(rx, ref, 2.0, interpolation, max_lag=40)
+            assert taus.shape == (5,)
+            single = [estimate_tof(a, r, 2.0, interpolation, max_lag=40)
+                      for a, r in zip(rx, ref)]
+            assert all(isinstance(tau, float) for tau in single)
+            assert_array_equal(taus, single)
 
     def test_empty_buffers(self):
         with pytest.raises(ValueError):
@@ -213,6 +337,31 @@ class TestRmseVsCrb:
         b = rmse_vs_crb(camp, SystemModel(cfg=desk_cfg, chan=chan0), 0.18, p)
         assert a == b
 
+    @pytest.mark.parametrize("cn2", [0.0, 5e-14])
+    def test_blocks_match_per_trial_oracle(self, small_cfg, cn2, monkeypatch):
+        # 7 trials in blocks of 3, 3 and 1 against the one-trial loop; the
+        # turbulent channel also checks the frame, fade, noise draw order
+        model = SystemModel(cfg=small_cfg, chan=reference_channel(cn2=cn2))
+        assert (model.chan.sigma_t2_s > 0) == (cn2 > 0)
+        p = lowband_allocation(small_cfg)
+        cfg = small_cfg
+        tof = (round(0.3 * cfg.guard_samples) + 0.31) / cfg.sample_rate
+        camp = McCampaign(trials=7, rng_seed=21, true_tof=tof, snr_sweep=(-98.0, -100.0))
+        stream = cfg.n_symbols * (cfg.n_subcarriers + cfg.guard_samples)
+        monkeypatch.setattr(monte_carlo, "BLOCK_SAMPLES", 3 * stream)
+        report = rmse_vs_crb(camp, model, 0.18, p)
+        expected = []
+        for pt, err in zip(report.points, oracle_rmse_errors(camp, model, 0.18, p)):
+            rmse = float(np.sqrt(np.mean(err**2)))
+            assert pt.rmse_m == pytest.approx(rmse, rel=1e-12)
+            assert pt.bias_m == pytest.approx(float(np.mean(err)), rel=1e-12, abs=1e-12 * rmse)
+            expected.append(replace(pt, rmse_m=rmse, ratio=rmse / pt.crb_m,
+                                    bias_m=float(np.mean(err))))
+        assert list(report.csv_rows()) == list(RmseReport(tuple(expected)).csv_rows())
+        # one trial per block gives the same report
+        monkeypatch.setattr(monte_carlo, "BLOCK_SAMPLES", 1)
+        assert rmse_vs_crb(camp, model, 0.18, p) == report
+
     def test_campaign_validation(self):
         with pytest.raises(ValueError):
             McCampaign(trials=0, rng_seed=0, true_tof=0.0, snr_sweep=(-100.0,))
@@ -240,6 +389,27 @@ class TestVerifyClippingModel:
         rows = {r.quantity: r for r in report.rows}
         assert rows["r_wp_lag0"].error < 0.02
         assert rows["corr_wp_x"].error <= rows["corr_wp_x"].tolerance
+
+    def test_blocks_match_per_frame_oracle(self, clip_cfg, monkeypatch):
+        # 7 frames in blocks of 3, 3 and 1 against the one-frame loop.
+        # Sums run in another order and R_wp comes from one inverse
+        # transform of the summed spectra, so values move in the last
+        # bits: empirical values agree to 1e-12 of the row's scale, and
+        # errors and tolerances, already relative, to 1e-12
+        p = lp_step_allocation(clip_cfg.n_data_subcarriers, 0.02)
+        stream = clip_cfg.n_symbols * (clip_cfg.n_subcarriers + clip_cfg.guard_samples)
+        monkeypatch.setattr(monte_carlo, "BLOCK_SAMPLES", 3 * stream)
+        report = verify_clipping_model(clip_cfg, 0.08, p, trials=7, seed=25)
+        oracle = oracle_clipping_rows(clip_cfg, 0.08, p, trials=7, seed=25)
+        assert [r.quantity for r in report.rows] == [o[0] for o in oracle]
+        for r, (name, ana, emp, err, tol) in zip(report.rows, oracle):
+            assert r.analytic == ana, name
+            assert abs(r.empirical - emp) <= 1e-12 * max(abs(ana), abs(emp)), name
+            assert r.error == pytest.approx(err, rel=1e-12, abs=1e-12), name
+            assert r.tolerance == pytest.approx(tol, rel=1e-12, abs=1e-12), name
+            assert r.passed == (err <= tol), name
+        monkeypatch.setattr(monte_carlo, "BLOCK_SAMPLES", 1)
+        assert verify_clipping_model(clip_cfg, 0.08, p, trials=7, seed=25) == report
 
     def test_csv_shape(self, clip_cfg):
         report = verify_clipping_model(clip_cfg, 0.0, uniform_allocation(clip_cfg),

@@ -10,7 +10,7 @@ from fso_isac.ofdm import (
     validate_p_norm,
 )
 
-from conftest import uniform_allocation
+from conftest import lp_step_allocation, mirrored_grid, uniform_allocation
 
 
 def test_config_derived_fields():
@@ -41,18 +41,18 @@ def test_grid_structure_small():
     cfg = OfdmConfig(n_symbols=3, n_subcarriers=8, delta_f=1e5, guard_s=0.0, power_w=1.0)
     p = np.array([1/6, 1/6, 1/6])
     grid = generate_frame(cfg, p, rng_seed=0)
-    assert grid.x.shape == (8, 3)
+    assert grid.x.shape == (5, 3)
+    assert (grid.n_subcarriers, grid.n_symbols) == (8, 3)
     assert_array_equal(grid.x[0], 0)
     assert_array_equal(grid.x[4], 0)
-    for k in (1, 2, 3):
-        assert_allclose(grid.x[8 - k], np.conj(grid.x[k]), rtol=0, atol=0)
+    assert np.all(grid.x[1:4] != 0)
 
 
 def test_grid_table1_shape():
     cfg = OfdmConfig(n_symbols=64, n_subcarriers=1024, delta_f=0.2e6,
                      guard_s=2e-6, power_w=1.0)
     grid = generate_frame(cfg, uniform_allocation(cfg), rng_seed=7)
-    assert grid.x.shape == (1024, 64)
+    assert grid.x.shape == (513, 64)
     assert cfg.sample_rate == pytest.approx(204.8e6)
 
 
@@ -81,14 +81,16 @@ def test_generate_frame_validation(desk_cfg):
 def test_time_domain_real_and_parseval(desk_cfg):
     p = uniform_allocation(desk_cfg)
     grid = generate_frame(desk_cfg, p, rng_seed=5)
-    core = np.fft.ifft(grid.x, axis=0) * np.sqrt(desk_cfg.n_subcarriers)
+    n = desk_cfg.n_subcarriers
+    full = mirrored_grid(grid.x, n)
+    core = np.fft.ifft(full, axis=0) * np.sqrt(n)
     sigma_x = np.sqrt(desk_cfg.signal_variance(0.0))
     assert np.max(np.abs(core.imag)) < 1e-10 * sigma_x
     ts = to_time_domain(grid, desk_cfg, bias=0.0)
-    # Parseval per symbol: time power == sum |X|^2 / N
+    # Parseval per symbol: time power == sum over all N bins of |X|^2 / N
     x = ts.symbol_cores()
     lhs = np.sum(x**2, axis=1)
-    rhs = np.sum(np.abs(grid.x) ** 2, axis=0)
+    rhs = np.sum(np.abs(full) ** 2, axis=0)
     assert_allclose(lhs, rhs, rtol=1e-9)
 
 
@@ -124,12 +126,63 @@ def test_bias_out_of_range(desk_cfg):
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**31), bias_frac=st.floats(0.0, 0.9))
 def test_grid_hermitian_and_real_property(seed, bias_frac):
+    # the half-spectrum synthesis equals the complex IDFT of the mirrored
+    # full grid, whose imaginary part vanishes
     cfg = OfdmConfig(n_symbols=2, n_subcarriers=32, delta_f=1e5, guard_s=0.0, power_w=1.0)
     p = np.full(cfg.n_data_subcarriers, 0.5 / cfg.n_data_subcarriers)
     b = bias_frac * np.sqrt(cfg.power_w)
     grid = generate_frame(cfg, p, rng_seed=seed, bias=b)
     n = cfg.n_subcarriers
-    assert_allclose(grid.x[1:n//2], np.conj(grid.x[:n//2:-1]), rtol=0, atol=0)
+    assert grid.x.shape == (n // 2 + 1, cfg.n_symbols)
     ts = to_time_domain(grid, cfg, bias=b)
     assert ts.pre_clip.dtype == np.float64
     assert ts.pre_clip.shape == (cfg.n_symbols * (n + cfg.guard_samples),)
+    full = np.fft.ifft(mirrored_grid(grid.x, n), axis=0) * np.sqrt(n)
+    sigma_x = np.sqrt(cfg.signal_variance(b))
+    assert np.max(np.abs(full.imag)) <= 1e-15 * sigma_x * n
+    assert np.max(np.abs(ts.symbol_cores() - full.real.T)) <= 1e-15 * sigma_x * n
+
+
+def test_half_spectrum_matches_full_ifft(table1_cfg):
+    # irfft of the half spectrum against ifft of the mirrored grid, with
+    # the cyclic prefix, at N = 1024
+    p = lp_step_allocation(table1_cfg.n_data_subcarriers, 0.01)
+    b = 0.3
+    grid = generate_frame(table1_cfg, p, rng_seed=17, bias=b)
+    n, cp = table1_cfg.n_subcarriers, table1_cfg.guard_samples
+    core = (np.fft.ifft(mirrored_grid(grid.x, n), axis=0) * np.sqrt(n)).real
+    expected = np.concatenate([core[n - cp :], core]).T.reshape(-1)
+    sigma_x = np.sqrt(table1_cfg.signal_variance(b))
+    ts = to_time_domain(grid, table1_cfg, bias=b)
+    assert np.max(np.abs(ts.pre_clip - expected)) <= 1e-15 * sigma_x * n
+
+
+@pytest.mark.parametrize("k", [0, 8])
+def test_nonzero_edge_bin_rejected(k):
+    # irfft would drop the imaginary part of bin 0 or N/2 without a trace
+    cfg = OfdmConfig(n_symbols=2, n_subcarriers=16, delta_f=1e5, guard_s=0.0, power_w=1.0)
+    grid = generate_frame(cfg, np.full(7, 0.5 / 7), rng_seed=0)
+    for value in (1e-3, 1e-3j):
+        x = grid.x.copy()
+        x[k, 1] = value
+        with pytest.raises(ValueError, match="bins 0 and N/2"):
+            to_time_domain(type(grid)(x=x, p_norm=grid.p_norm), cfg, bias=0.0)
+
+
+def test_stacked_equals_single_frames(desk_cfg):
+    # a (T, N/2+1, M) block draws and synthesizes each frame bit for bit
+    # as a single-frame call with the same generator would
+    p = lp_step_allocation(desk_cfg.n_data_subcarriers, 0.04)
+    b, seeds = 0.2, [[3, t] for t in range(5)]
+    block = generate_frame(desk_cfg, p, [np.random.default_rng(s) for s in seeds], bias=b)
+    singles = [generate_frame(desk_cfg, p, rng_seed=s, bias=b) for s in seeds]
+    assert block.x.shape == (5, desk_cfg.n_subcarriers // 2 + 1, desk_cfg.n_symbols)
+    assert (block.n_subcarriers, block.n_symbols) == (singles[0].n_subcarriers,
+                                                      singles[0].n_symbols)
+    assert_array_equal(block.x, np.stack([g.x for g in singles]))
+    ts = to_time_domain(block, desk_cfg, bias=b)
+    assert ts.n_symbols == desk_cfg.n_symbols
+    for t, grid in enumerate(singles):
+        single = to_time_domain(grid, desk_cfg, bias=b)
+        assert_array_equal(ts.pre_clip[t], single.pre_clip)
+        assert_array_equal(ts.symbol_cores()[t], single.symbol_cores())
