@@ -42,6 +42,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _trial_count(text: str) -> int:
+    """--trials value: an integer of at least 2, the fewest frames whose
+    spread the clipping check can estimate."""
+    try:
+        trials = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if trials < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {trials}")
+    return trials
+
+
 def _out_dir(args) -> Path:
     out = args.out or os.environ.get("FSO_ISAC_OUT") or "."
     path = Path(out)
@@ -215,7 +227,7 @@ def cmd_verify(args) -> int:
         return 3
 
     clip_report = verify_clipping_model(
-        scenario.cfg, sol.b_opt, sol.p_norm, trials=max(trials, 1), seed=seed
+        scenario.cfg, sol.b_opt, sol.p_norm, trials=trials, seed=seed
     )
     (out / "clipping_report.csv").write_text(
         "\n".join(clip_report.csv_rows()) + "\n", encoding="utf-8"
@@ -226,7 +238,7 @@ def cmd_verify(args) -> int:
     tof = (round(0.3 * cfg.guard_samples) + 0.31) / cfg.sample_rate
     ns_db = 10.0 * np.log10(model.chan.noise_psd_s)
     campaign = McCampaign(
-        trials=max(trials, 1),
+        trials=trials,
         rng_seed=seed,
         true_tof=tof,
         snr_sweep=(ns_db + 4.0, ns_db + 2.0, ns_db),
@@ -275,8 +287,8 @@ def main(argv=None) -> int:
     common(p_verify)
     p_verify.add_argument("--seed", type=int, default=None,
                           help="override the scenario Monte Carlo seed")
-    p_verify.add_argument("--trials", type=int, default=None,
-                          help="override the scenario trial count")
+    p_verify.add_argument("--trials", type=_trial_count, default=None,
+                          help="override the scenario trial count (at least 2)")
 
     args = parser.parse_args(argv)
     try:

@@ -13,16 +13,28 @@ with the cyclic-prefix regions zeroed: the analytical information counts
 M*N samples per frame, so the estimator must not collect extra energy from
 the prefixes.
 
-Trials run in blocks.  Each trial draws from its own generator, seeded by
-(seed, SNR index, trial) or (seed, trial), in the order frame, turbulence,
-noise, so a report does not depend on the block size.  A block then goes
+Trials run in blocks.  Each trial draws from its own generator, in the
+order frame, turbulence, noise, so a report does not depend on the block
+size; verification frame t is seeded by (seed, t).  A block then goes
 through each NumPy stage as one stacked call: half-spectrum synthesis of
 the template and the delayed stream, the prefix patch, the clip, the mean
 removal and the FFT correlation.  A block holds max(1, BLOCK_SAMPLES // S)
 trials, S = M (N + N_cp) samples per stream, so the memory a block adds is
 bounded by the sample budget, not by the trial count: 4 trials of 5744
-samples on the desk scenario (about 1 MB more peak memory than one trial at
-a time), 1 trial of 91776 on the reference one.
+samples on the desk scenario, 1 trial of 91776 on the reference one.
+
+The SNR points of a ToF campaign share their trials (common random
+numbers).  Trial t draws one frame, one fade and one unit-variance noise
+stream from the generator seeded by (seed, 0, t), for every point.  The
+clean stream (delayed, clipped, faded) and the noise stream each have
+their own mean removed and are correlated against the template once;
+correlation and mean removal are linear, so point i's correlation is
+c_clean + sigma_v[i] c_noise, and the peak search runs stacked over
+(point, trial).  Each point keeps the distribution it would have with
+draws of its own, and its result does not depend on the other levels in
+the sweep, but the points are dependent: their errors come from the same
+frames and noise, so differences between points vary less than between
+independent runs.
 """
 
 from dataclasses import dataclass, replace
@@ -120,10 +132,22 @@ def estimate_tof(
     if max_lag is None:
         max_lag = size
     max_lag = min(max_lag, size)
-    nfft = _fft_len(size + max_lag)
-    cross = np.conj(np.fft.rfft(ref, nfft))
-    cross *= np.fft.rfft(rx, nfft)
-    corr = np.fft.irfft(cross, nfft)[..., :max_lag]
+    tau = _peak_delay(_correlate(rx, ref, max_lag), rate, interpolation)
+    return float(tau) if tau.ndim == 0 else tau
+
+
+def _correlate(rx: np.ndarray, ref: np.ndarray, max_lag: int) -> np.ndarray:
+    """Linear cross-correlation sum_n ref[n] rx[n + lag] on lags
+    [0, max_lag), shape (..., max_lag); the leading axes of rx and ref
+    broadcast, so one template spectrum serves a stack of streams."""
+    nfft = _fft_len(rx.shape[-1] + max_lag)
+    cross = np.conj(np.fft.rfft(ref, nfft)) * np.fft.rfft(rx, nfft)
+    return np.fft.irfft(cross, nfft)[..., :max_lag]
+
+
+def _peak_delay(corr: np.ndarray, rate: float, interpolation: str) -> np.ndarray:
+    """Delay in seconds of the peak of each correlation row of (..., L)."""
+    max_lag = corr.shape[-1]
     peak = np.argmax(corr, axis=-1)
     delta = np.zeros(peak.shape)
     if interpolation == "parabolic" and max_lag >= 3:
@@ -135,8 +159,7 @@ def estimate_tof(
         refine = (mid == peak) & (denom < 0)
         step = 0.5 * (left - right) / np.where(refine, denom, -1.0)
         delta = np.where(refine, np.clip(step, -0.5, 0.5), 0.0)
-    tau = (peak + delta) / rate
-    return float(tau) if tau.ndim == 0 else tau
+    return (peak + delta) / rate
 
 
 def delayed_clipped_stream(
@@ -207,42 +230,45 @@ def rmse_vs_crb(
     b: float,
     p_norm: np.ndarray,
 ) -> RmseReport:
-    """Estimate the ToF over many noisy frames and compare RMSE to the CRB."""
+    """Estimate the ToF over many noisy frames and compare RMSE to the CRB.
+
+    Every SNR point sees the same trials; see the module docstring.
+    """
     cfg = model.cfg
     chan = model.chan
     if campaign.true_tof >= cfg.guard_s:
         raise ValueError("true_tof must be below the guard duration")
     max_lag = cfg.guard_samples
     norm = 2.0 * chan.reflectivity**2 * chan.gain_sq_s()
+    noise_psd = [10.0 ** (snr_db / 10.0) for snr_db in campaign.snr_sweep]
+    sigma_v = np.sqrt(np.array(noise_psd) * cfg.bandwidth_hz / norm)
+    errors = np.empty((len(noise_psd), campaign.trials))
+    for trials in _blocks(campaign.trials, cfg):
+        rngs = [np.random.default_rng([campaign.rng_seed, 0, t]) for t in trials]
+        grid = generate_frame(cfg, p_norm, rng_seed=rngs, bias=b)
+        clean = delayed_clipped_stream(grid, cfg, b, campaign.true_tof)
+        if chan.sigma_t2_s > 0:
+            clean *= np.stack(
+                [sample_turbulence(chan.sigma_t2_s, rng, 1) for rng in rngs]
+            )
+        # the clean echo and the unit noise, correlated in one call
+        streams = np.empty((2, *clean.shape))
+        streams[0] = clean
+        for row, rng in zip(streams[1], rngs):
+            rng.standard_normal(out=row)
+        streams -= streams.mean(axis=-1, keepdims=True)
+        c_clean, c_noise = _correlate(streams, reference_stream(grid, cfg), max_lag)
+        tau_hat = _peak_delay(
+            c_clean + sigma_v[:, None, None] * c_noise, cfg.sample_rate, "parabolic"
+        )
+        errors[:, trials.start : trials.stop] = 0.5 * SPEED_OF_LIGHT * (
+            tau_hat - campaign.true_tof
+        )
     points = []
-    for i_snr, snr_db in enumerate(campaign.snr_sweep):
-        noise_psd = 10.0 ** (snr_db / 10.0)
-        model_i = SystemModel(cfg=cfg, chan=replace(chan, noise_psd_s=noise_psd))
-        info = model_i.fisher(b, p_norm)
-        crb_m = crb_distance(info)
-        sigma_v = np.sqrt(noise_psd * cfg.bandwidth_hz / norm)
-        errors = np.empty(campaign.trials)
-        for trials in _blocks(campaign.trials, cfg):
-            rngs = [np.random.default_rng([campaign.rng_seed, i_snr, t]) for t in trials]
-            grid = generate_frame(cfg, p_norm, rng_seed=rngs, bias=b)
-            clean = delayed_clipped_stream(grid, cfg, b, campaign.true_tof)
-            if chan.sigma_t2_s > 0:
-                clean *= np.stack(
-                    [sample_turbulence(chan.sigma_t2_s, rng, 1) for rng in rngs]
-                )
-            rx = np.empty_like(clean)
-            for row, rng in zip(rx, rngs):
-                rng.standard_normal(out=row)
-            rx *= sigma_v
-            rx += clean
-            rx -= rx.mean(axis=-1, keepdims=True)
-            tau_hat = estimate_tof(
-                rx, reference_stream(grid, cfg), cfg.sample_rate, max_lag=max_lag
-            )
-            errors[trials.start : trials.stop] = 0.5 * SPEED_OF_LIGHT * (
-                tau_hat - campaign.true_tof
-            )
-        rmse = float(np.sqrt(np.mean(errors**2)))
+    for snr_db, psd, err in zip(campaign.snr_sweep, noise_psd, errors):
+        model_i = SystemModel(cfg=cfg, chan=replace(chan, noise_psd_s=psd))
+        crb_m = crb_distance(model_i.fisher(b, p_norm))
+        rmse = float(np.sqrt(np.mean(err**2)))
         points.append(
             RmsePoint(
                 snr_db=snr_db,
@@ -250,7 +276,7 @@ def rmse_vs_crb(
                 rmse_m=rmse,
                 crb_m=crb_m,
                 ratio=rmse / crb_m if crb_m > 0 else float("inf"),
-                bias_m=float(np.mean(errors)),
+                bias_m=float(np.mean(err)),
             )
         )
     return RmseReport(points=tuple(points))

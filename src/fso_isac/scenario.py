@@ -185,6 +185,8 @@ def parse_scenario(text: str) -> Scenario:
 
     mc = None
     if "mc" in doc:
+        if doc["mc"]["trials"] < 2:
+            raise ScenarioError(f"'mc.trials' must be at least 2{_line_of('trials', text)}")
         mc = McSettings(trials=doc["mc"]["trials"], seed=doc["mc"]["seed"])
     return Scenario(cfg=cfg, chan=chan, problem=problem, mc=mc)
 

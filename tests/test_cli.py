@@ -145,6 +145,37 @@ def test_exit_4_rmse_gate(scenario_dir, tmp_path, monkeypatch, capsys):
     assert "verification FAILED: rmse_crb_ratio" in err
 
 
+def run_cli(*argv):
+    return subprocess.run([sys.executable, "-m", "fso_isac.cli", *argv], env=src_env(),
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("trials", ["1", "0"])
+def test_exit_64_verify_too_few_trials(scenario_dir, tmp_path, trials):
+    proc = run_cli("verify", "--scenario", str(scenario_dir / "desk.json"),
+                   "--out", str(tmp_path), "--trials", trials)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr.startswith("usage: fso-isac verify")
+    assert f"argument --trials: must be at least 2, got {trials}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not any(tmp_path.iterdir())
+
+
+def test_exit_1_scenario_too_few_trials(scenario_dir, tmp_path):
+    doc = json.loads((scenario_dir / "desk.json").read_text(encoding="utf-8"))
+    doc["mc"]["trials"] = 1
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    line = 1 + next(i for i, text in enumerate(path.read_text(encoding="utf-8").splitlines())
+                    if '"trials"' in text)
+    out = tmp_path / "out"
+    proc = run_cli("verify", "--scenario", str(path), "--out", str(out))
+    assert proc.returncode == 1
+    assert f"scenario error: 'mc.trials' must be at least 2 (line {line})" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_usage_error_exit_code(scenario_dir, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--scenario", str(scenario_dir / "desk.json"),

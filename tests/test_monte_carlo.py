@@ -52,18 +52,20 @@ def full_grid_stream(full, cfg):
 
 def oracle_rmse_errors(campaign, model, b, p):
     """Range errors of a one-trial-at-a-time loop: full mirrored grid,
-    complex IDFT, 1-D estimate_tof; draws frame, turbulence, noise."""
+    complex IDFT, 1-D estimate_tof; draws frame, turbulence, noise.  Every
+    SNR point redraws trial t from the key (seed, 0, t) and builds its own
+    rx = clean + sigma_v noise, mean removed as a whole."""
     cfg, chan = model.cfg, model.chan
     n, cp, rs = cfg.n_subcarriers, cfg.guard_samples, cfg.sample_rate
     norm = 2.0 * chan.reflectivity**2 * chan.gain_sq_s()
     ramp = np.exp(-2j * np.pi * np.fft.fftfreq(n, d=1.0 / rs) * campaign.true_tof)
     d_prev = int(np.ceil(campaign.true_tof * rs - 1e-9))
     out = []
-    for i_snr, snr_db in enumerate(campaign.snr_sweep):
+    for snr_db in campaign.snr_sweep:
         sigma_v = np.sqrt(10.0 ** (snr_db / 10.0) * cfg.bandwidth_hz / norm)
         errors = []
         for t in range(campaign.trials):
-            rng = np.random.default_rng([campaign.rng_seed, i_snr, t])
+            rng = np.random.default_rng([campaign.rng_seed, 0, t])
             full = mirrored_grid(generate_frame(cfg, p, rng_seed=rng, bias=b).x, n)
             windows = full_grid_stream(full * ramp[:, None], cfg).reshape(cfg.n_symbols, -1)
             windows[1:, :d_prev] = windows[:-1, cp : cp + d_prev]
@@ -361,6 +363,42 @@ class TestRmseVsCrb:
         # one trial per block gives the same report
         monkeypatch.setattr(monte_carlo, "BLOCK_SAMPLES", 1)
         assert rmse_vs_crb(camp, model, 0.18, p) == report
+
+    @pytest.mark.parametrize("cn2", [0.0, 5e-14])
+    def test_point_independent_of_sweep(self, small_cfg, cn2):
+        # the points share their trials, so a level reads the same alone,
+        # first or last in the sweep
+        model = SystemModel(cfg=small_cfg, chan=reference_channel(cn2=cn2))
+        p = lowband_allocation(small_cfg)
+        tof = (round(0.3 * small_cfg.guard_samples) + 0.31) / small_cfg.sample_rate
+        found = []
+        for sweep in ((-98.0,), (-96.0, -98.0, -100.0), (-100.0, -98.0)):
+            camp = McCampaign(trials=40, rng_seed=31, true_tof=tof, snr_sweep=sweep)
+            points = rmse_vs_crb(camp, model, 0.18, p).points
+            found.append(points[sweep.index(-98.0)])
+        assert found[0] == found[1] == found[2]
+
+    def test_one_synthesis_per_block(self, small_cfg, monkeypatch):
+        # frames are drawn once per block of trials (7 trials in blocks of
+        # 3, 3 and 1), whatever the number of SNR points
+        model = SystemModel(cfg=small_cfg, chan=reference_channel(cn2=0.0))
+        p = lowband_allocation(small_cfg)
+        stream = small_cfg.n_symbols * (small_cfg.n_subcarriers + small_cfg.guard_samples)
+        monkeypatch.setattr(monte_carlo, "BLOCK_SAMPLES", 3 * stream)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return generate_frame(*args, **kwargs)
+
+        monkeypatch.setattr(monte_carlo, "generate_frame", counted)
+        counts = []
+        for sweep in ((-100.0,), (-96.0, -98.0, -100.0)):
+            calls.clear()
+            camp = McCampaign(trials=7, rng_seed=3, true_tof=0.0, snr_sweep=sweep)
+            rmse_vs_crb(camp, model, 0.18, p)
+            counts.append(len(calls))
+        assert counts == [3, 3]
 
     def test_campaign_validation(self):
         with pytest.raises(ValueError):
