@@ -5,7 +5,6 @@ from .channel import ChannelState, LinkParams, sample_turbulence, scintillation_
 from .clipping import (
     ClippingStats,
     SnrProfile,
-    autocorrelation,
     bussgang_gain,
     clip_moments,
     clipping_psd,

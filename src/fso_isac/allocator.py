@@ -23,11 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clipping import SnrProfile
 from .config import OfdmConfig
 from .metrics import (
     MetricReport,
-    metric_report,
     spectral_efficiency,
     fisher_information,
     varsigma_sq_from_precision,
@@ -46,7 +44,6 @@ DUAL_RESIDUAL_TOL = 1e-8
 FLOOR_SLACK = 1e-10  # relative overshoot of the floor at which the eta search stops
 MAX_OUTER_BCD = 50
 MAX_DUAL_ITER = 1000
-ACTIVE_SLACK = 1e-12
 
 
 class InfeasibleProblem(Exception):
@@ -288,7 +285,8 @@ def _budget_level(scale, shift, gamma_c, p_max):
     sum p(mu) falls monotonically from n p_max (every level at its floor)
     to 0 (every level at or above scale g_c).  `_feasible_root` keeps the
     feasible end, where sum p <= 1/2, and stops once it is within
-    POWER_SUM_TOL of the budget.  Returns (mu, p).
+    POWER_SUM_TOL of the budget or its bracket is two adjacent floats.
+    Returns (mu, p).
     """
     lo = float(np.min(shift + scale / (p_max + 1.0 / gamma_c)))
     hi = float(np.max(shift + scale * gamma_c))
@@ -299,31 +297,33 @@ def _budget_level(scale, shift, gamma_c, p_max):
 
     mu, p = _feasible_root(unspent, lo, 0.5 - gamma_c.size * p_max, hi, *unspent(hi),
                            POWER_SUM_TOL)
+    if 0.5 - p.sum() > POWER_SUM_TOL:
+        # The bracket closed on two adjacent floats, mu and one ulp below
+        # it: at a small scale (the psi_0 rule near eta = 0) one ulp of mu
+        # moves sum p by more than the tolerance.  The root lies between
+        # them, and so does each p at the root: take the point of the
+        # segment from p(mu) to p(mu - ulp) that spends the budget.
+        p_below = _fill(math.nextafter(mu, -math.inf), scale, shift, gamma_c, p_max)
+        p = p + (0.5 - p.sum()) / (p_below.sum() - p.sum()) * (p_below - p)
     if abs(p.sum() - 0.5) > POWER_SUM_TOL:
         raise RuntimeError("budget level failed to meet the power sum")
     return mu, p
 
 
-def waterfill_comm(
-    gamma_c: np.ndarray,
-    gamma_s: np.ndarray,
-    eta: float,
-    p_max: float,
-):
-    """Capped water-filling at fixed eta: the xi_0 level mu with sum p = 1/2.
+def waterfill_comm(gamma_c: np.ndarray, p_max: float):
+    """Capped water-filling: the level mu at which
+    p = min({1/mu - 1/g_c}^+, p_max) spends sum p = 1/2.
 
-    Returns (p_norm, mu); the budget is met within POWER_SUM_TOL.
+    This is the xi_0 rule at eta = 0; `dual_iterate_comm` solves the
+    eta-shifted levels with `_budget_level` directly.  Returns (p_norm, mu);
+    the budget is met within POWER_SUM_TOL.
     """
     gamma_c = np.asarray(gamma_c, dtype=float)
-    gamma_s = np.asarray(gamma_s, dtype=float)
-    if np.any(gamma_c <= 0) or np.any(gamma_s < 0):
-        raise ValueError("gamma_c must be positive and gamma_s non-negative")
-    if eta < 0:
-        raise ValueError("eta must be non-negative")
+    if np.any(gamma_c <= 0):
+        raise ValueError("gamma_c must be positive")
     if gamma_c.size * p_max < 0.5:
         raise ValueError("infeasible target: caps sum below the power budget")
-    k2gs = _subcarrier_weights(gamma_s.size) * gamma_s
-    mu, p = _budget_level(1.0, eta * k2gs, gamma_c, p_max)
+    mu, p = _budget_level(1.0, 0.0, gamma_c, p_max)
     return p, mu
 
 
@@ -456,8 +456,8 @@ def dual_iterate_sense(
 def _subcarrier_step_comm(gamma_c, gamma_s, info_floor, p_max):
     """Case analysis A -> B -> C for the comm-centric sub-problem."""
     k2gs = _subcarrier_weights(gamma_s.size) * gamma_s
-    p_wf, mu = waterfill_comm(gamma_c, gamma_s, 0.0, p_max)
-    if float(np.sum(k2gs * p_wf)) >= info_floor * (1.0 - ACTIVE_SLACK):
+    p_wf, mu = waterfill_comm(gamma_c, p_max)
+    if float(np.sum(k2gs * p_wf)) >= info_floor:
         return p_wf, CASE_A, DualVariables(mu=mu, eta=0.0), None
     p_lp = sensing_lp(gamma_s, p_max)
     if float(np.sum(k2gs * p_lp)) < info_floor:
@@ -472,9 +472,9 @@ def _subcarrier_step_comm(gamma_c, gamma_s, info_floor, p_max):
 def _subcarrier_step_sense(gamma_c, gamma_s, cap_floor_nats, p_max):
     """Case analysis D -> E -> F for the sensing-centric sub-problem."""
     p_lp = sensing_lp(gamma_s, p_max)
-    if float(np.sum(np.log1p(gamma_c * p_lp))) >= cap_floor_nats * (1.0 - ACTIVE_SLACK):
+    if float(np.sum(np.log1p(gamma_c * p_lp))) >= cap_floor_nats:
         return p_lp, CASE_D, None, None
-    p_wf, _ = waterfill_comm(gamma_c, gamma_s, 0.0, p_max)
+    p_wf, _ = waterfill_comm(gamma_c, p_max)
     if float(np.sum(np.log1p(gamma_c * p_wf))) < cap_floor_nats:
         raise InfeasibleProblem(
             "capacity floor exceeds the water-filling capacity"

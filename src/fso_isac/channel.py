@@ -9,7 +9,7 @@ that reference scenarios can pin the link budgets.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,10 +55,10 @@ class LinkParams:
 
 @dataclass(frozen=True)
 class ChannelState:
-    """Stationary gains and normalized responses for both paths.
+    """Stationary gains, turbulence and noise for both paths.
 
-    h_bar_* are the mean gains (unit-mean turbulence folded out); the
-    normalized frequency responses default to all-ones (line of sight).
+    h_bar_* are the mean gains (unit-mean turbulence folded out); both
+    paths are line of sight, with a flat response over the subcarriers.
     Carries the noise PSDs and reflectivity so downstream SNR evaluation
     needs no extra plumbing.
     """
@@ -70,8 +70,6 @@ class ChannelState:
     noise_psd_c: float
     noise_psd_s: float
     reflectivity: float
-    h_tilde_c: np.ndarray | None = None
-    h_tilde_s: np.ndarray | None = None
 
     def __post_init__(self):
         if self.h_bar_c <= 0 or self.h_bar_s <= 0:
@@ -86,16 +84,6 @@ class ChannelState:
     def gain_sq_s(self) -> float:
         """Gain term E(h_s)^2 of the sensing-path SNR."""
         return self.h_bar_s**2
-
-    def response_c(self, n_data: int) -> np.ndarray:
-        if self.h_tilde_c is None:
-            return np.ones(n_data)
-        return np.abs(np.asarray(self.h_tilde_c))
-
-    def response_s(self, n_data: int) -> np.ndarray:
-        if self.h_tilde_s is None:
-            return np.ones(n_data)
-        return np.abs(np.asarray(self.h_tilde_s))
 
 
 def scintillation_index(link: LinkParams, path_m: float | None = None) -> float:

@@ -19,7 +19,6 @@ from .allocator import (
     AllocationSolution,
     DivergenceAborted,
     InfeasibleProblem,
-    ProblemSpec,
     solve_bias,
     solve_p1,
     solve_p2,
@@ -52,6 +51,30 @@ def _trial_count(text: str) -> int:
     if trials < 2:
         raise argparse.ArgumentTypeError(f"must be at least 2, got {trials}")
     return trials
+
+
+def _value_list(text: str) -> list:
+    """--values: comma-separated numbers, at least one."""
+    try:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number list: {text!r}") from None
+    if not values:
+        raise argparse.ArgumentTypeError("needs at least one value")
+    return values
+
+
+def _value_range(text: str) -> list:
+    """--range start:stop:count: count >= 1 evenly spaced values."""
+    try:
+        start, stop, count = text.split(":")
+        start, stop, count = float(start), float(stop), int(count)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected start:stop:count, got {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"count must be at least 1, got {count}")
+    return [float(v) for v in np.linspace(start, stop, count)]
 
 
 def _out_dir(args) -> Path:
@@ -160,21 +183,11 @@ def _sweep_point(scenario_json: str, param: str, value: float) -> dict:
     return row
 
 
-def _parse_values(args) -> list:
-    if args.values:
-        return [float(v) for v in args.values.split(",") if v.strip()]
-    if args.sweep_range:
-        start, stop, count = args.sweep_range.split(":")
-        return [float(v) for v in np.linspace(float(start), float(stop), int(count))]
-    return []
-
-
 def cmd_sweep(args) -> int:
     scenario_json = Path(args.scenario).read_text(encoding="utf-8")
     parse_scenario(scenario_json)  # validate before dispatching workers
-    values = _parse_values(args)
     out = _out_dir(args)
-    jobs = [(scenario_json, args.param, v) for v in values]
+    jobs = [(scenario_json, args.param, v) for v in args.values]
     if args.workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -278,9 +291,11 @@ def main(argv=None) -> int:
     p_sweep = sub.add_parser("sweep", help="solve across a parameter sweep")
     common(p_sweep)
     p_sweep.add_argument("--param", required=True, choices=SWEEP_PARAMS)
-    p_sweep.add_argument("--values", default=None, help="comma-separated sweep values")
-    p_sweep.add_argument("--range", dest="sweep_range", default=None,
-                         help="start:stop:count")
+    values = p_sweep.add_mutually_exclusive_group(required=True)
+    values.add_argument("--values", type=_value_list, metavar="V1,V2,...",
+                        help="comma-separated sweep values")
+    values.add_argument("--range", dest="values", type=_value_range,
+                        metavar="START:STOP:COUNT", help="COUNT >= 1 evenly spaced values")
     p_sweep.add_argument("--workers", type=int, default=1)
 
     p_verify = sub.add_parser("verify", help="Monte Carlo verification reports")

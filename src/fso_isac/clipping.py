@@ -18,21 +18,24 @@ Cramer's bound on He_m limits the tail beyond a fixed number of terms at
 |rho| <= 1/2, and Horner's rule sums them.
 
 Above 1/2 the series converges too slowly, and the lag falls back to the
-Price-integral form
+Price-integral form (Price, IRE Trans. IT 1958)
 
-    R_wp(r) = I(r) + C1 * r + C2,
+    R_wp(r) = I(r) - Q(b/sigma_x)^2 r = I(r) - (1 - K)^2 r,
 
 where I(r) is a double integral of the bivariate-Gaussian level-crossing
-kernel.  Swapping the integration order collapses it to a single integral,
-and the substitution t = sigma_x^2 sin(theta) removes the inverse-square-
-root edge singularity:
+kernel.  The uncorrelated (r = 0) and fully correlated (r = sigma_x^2)
+limits pin the linear term: I(0) = E(w_p)^2 and
+I(sigma_x^2) = E(w_p^2) + (1 - K)^2 sigma_x^2.
+Swapping the integration order collapses I to a single integral, and the
+substitution t = sigma_x^2 sin(theta) removes the inverse-square-root edge
+singularity:
 
     I(r) = sigma_x^2 / (2 pi) * int_{-pi/2}^{arcsin(r/sigma_x^2)}
            (r/sigma_x^2 - sin th) * exp(-c / (1 + sin th)) dth,
     c = (b / sigma_x)^2.
 
-The integrand is smooth and bounded, so fixed-order Gauss-Legendre rules
-evaluate it directly.  The signal autocorrelation is even,
+The integrand is smooth and bounded, so one fixed-order Gauss-Legendre
+rule evaluates it directly.  The signal autocorrelation is even,
 r_x(n) = r_x(N - n), so the solvers evaluate the N/2 + 1 distinct lags
 and mirror the result onto the rest.
 """
@@ -47,7 +50,6 @@ from .config import OfdmConfig
 from .channel import ChannelState
 from .ofdm import validate_p_norm
 
-R_X_DOMAIN_TOL = 1e-9
 # Lags with |rho| <= MEHLER_CUT take the Mehler series and the rest the
 # quadrature: the series tail shrinks like |rho|^n / n^2, so near |rho| = 1
 # no short series reaches double precision.
@@ -55,6 +57,8 @@ MEHLER_CUT = 0.5
 # Series terms n = 2..47.  Cramer's bound |He_m| <= 1.09 sqrt(m!) e^{lam^2/4}
 # caps the tail beyond them at 5.8e-19 sigma_x^2 for |rho| <= 1/2.
 MEHLER_TERMS = 46
+# Gauss-Legendre order of the Price quadrature
+PRICE_NODES = 192
 
 
 def gaussian_q(x: float) -> float:
@@ -105,12 +109,12 @@ def _row_dot(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("ij,j->i", m, v)
 
 
-@lru_cache(maxsize=8)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
+@lru_cache(maxsize=1)
+def _leggauss() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(PRICE_NODES)
 
 
-def _price_core(rho: np.ndarray, c: float, n_gl: int = 192) -> np.ndarray:
+def _price_core(rho: np.ndarray, c: float) -> np.ndarray:
     """Normalized integral J(rho; c) = I(rho * sigma^2) / sigma^2.
 
     Vectorized fixed-order Gauss-Legendre over theta in [-pi/2, arcsin rho].
@@ -120,7 +124,7 @@ def _price_core(rho: np.ndarray, c: float, n_gl: int = 192) -> np.ndarray:
     """
     rho = np.clip(np.atleast_1d(np.asarray(rho, dtype=float)), -1.0, 1.0)
     psi = np.arcsin(rho)
-    nodes, weights = _leggauss(n_gl)
+    nodes, weights = _leggauss()
     half = (psi + np.pi / 2.0) / 2.0
     theta = half[:, None] * (nodes[None, :] + 1.0) - np.pi / 2.0
     s = np.sin(theta)
@@ -171,11 +175,11 @@ def _mehler_series(rho: np.ndarray, lam: float) -> np.ndarray:
 def _r_wp(b: float, sigma_x: float, r: np.ndarray) -> tuple[float, float, np.ndarray]:
     """(E(w_p), E(w_p^2), R_wp) at the lags r, where r[0] is lag 0.
 
-    R_wp as in `autocorrelation`: the Mehler series where |rho| <= 1/2,
-    the quadrature form with the endpoint integrals I(0) and I(var) at
-    high order above that.  The caller validates r: `compute_clipping_stats`
-    admits allocations whose r[0] lies up to 2e-9 off var, beyond the
-    domain check of `autocorrelation`.
+    Lag 0 is E(w_p^2) exactly.  Other lags take the Mehler series where
+    |r| <= sigma_x^2 / 2, and R_wp = I(r) - (1 - K)^2 r above that, with
+    I(r) from the one quadrature rule of `_price_core`.  The caller
+    validates r: `compute_clipping_stats` builds it from an allocation that
+    `validate_p_norm` admits, which puts r[0] up to 2e-9 off sigma_x^2.
 
     Once phi(lam)^2 is subnormal (lam = -b/sigma_x below about -26.6),
     Cramer's bound puts R_wp - E(w_p)^2 below 1e-154 var at every
@@ -195,28 +199,10 @@ def _r_wp(b: float, sigma_x: float, r: np.ndarray) -> tuple[float, float, np.nda
     lags = r_wp[1:]
     lags[~quad] += var * _mehler_series(rho[~quad], lam)
     if quad.any():
-        c = (b / sigma_x) ** 2
-        i_zero, i_var = var * _price_core(np.array([0.0, 1.0]), c, n_gl=384)
-        c2 = mean_wp**2 - i_zero
-        c1 = (power_wp - c2 - i_var) / var
-        lags[quad] = var * _price_core(rho[quad], c) + c1 * r[1:][quad] + c2
+        # Q(b/sigma_x) = 1 - K, without the cancellation of 1 - K at deep bias
+        c1 = -gaussian_q(b / sigma_x) ** 2
+        lags[quad] = var * _price_core(rho[quad], (b / sigma_x) ** 2) + c1 * r[1:][quad]
     return mean_wp, power_wp, r_wp
-
-
-def autocorrelation(b: float, sigma_x: float, r_x: np.ndarray) -> np.ndarray:
-    """Clipping-noise autocorrelation over the lags of r_x.
-
-    Lag 0 is pinned to E(w_p^2) exactly.  Other lags take the Mehler
-    series where |r| <= var/2, and R_wp = I(r) + C1 r + C2 above that, with
-    C2 = E(w_p)^2 - I(0) and C1 = (E(w_p^2) - C2 - I(var)) / var.
-    """
-    r_x = np.asarray(r_x, dtype=float)
-    var = sigma_x**2
-    if abs(r_x[0] - var) > R_X_DOMAIN_TOL * var:
-        raise ValueError("r_x[0] must equal sigma_x^2")
-    if np.any(np.abs(r_x) > var * (1.0 + R_X_DOMAIN_TOL)):
-        raise ValueError("every |r_x(n)| must be <= sigma_x^2")
-    return _r_wp(b, sigma_x, r_x)[2]
 
 
 def clipping_psd(r_wp: np.ndarray) -> np.ndarray:
@@ -288,8 +274,7 @@ def snr_profiles(
 ) -> SnrProfile:
     """Per-subcarrier normalized SNRs for the comm and sensing paths.
 
-    gamma_c(k) = |H_c(k)|^2 K^2 (P - b^2)
-                 / (N_c df / (2 E(h_c)^2) + |H_c(k)|^2 P_wp(k))
+    gamma_c(k) = K^2 (P - b^2) / (N_c df / (2 E(h_c)^2) + P_wp(k))
     and analogously for sensing with the reflectivity folded into the
     noise term.  The k = 0 bin of the clipping PSD never enters.
     """
@@ -297,12 +282,10 @@ def snr_profiles(
     ac_power = cfg.power_w - b * b
     k2 = stats.bussgang**2
     p_wp = stats.p_wp[1 : n_data + 1]
-    hc2 = chan.response_c(n_data) ** 2
-    hs2 = chan.response_s(n_data) ** 2
     noise_c = chan.noise_psd_c * cfg.delta_f / (2.0 * chan.gain_sq_c())
     noise_s = chan.noise_psd_s * cfg.delta_f / (
         2.0 * chan.reflectivity**2 * chan.gain_sq_s()
     )
-    gamma_c = hc2 * k2 * ac_power / (noise_c + hc2 * p_wp)
-    gamma_s = hs2 * k2 * ac_power / (noise_s + hs2 * p_wp)
+    gamma_c = k2 * ac_power / (noise_c + p_wp)
+    gamma_s = k2 * ac_power / (noise_s + p_wp)
     return SnrProfile(gamma_c=gamma_c, gamma_s=gamma_s)

@@ -67,9 +67,3 @@ class OfdmConfig:
         import math
 
         return math.ceil(self.guard_s * self.sample_rate - 1e-12)
-
-    def signal_variance(self, bias: float) -> float:
-        """Time-domain variance of the unbiased signal, (P - b^2) / N."""
-        if not 0.0 <= bias <= self.power_w**0.5:
-            raise ValueError("bias must lie in [0, sqrt(P)]")
-        return (self.power_w - bias**2) / self.n_subcarriers

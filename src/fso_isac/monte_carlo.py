@@ -109,56 +109,33 @@ def _blocks(trials: int, cfg: OfdmConfig):
         yield range(start, min(start + size, trials))
 
 
-def estimate_tof(
-    rx: np.ndarray,
-    ref: np.ndarray,
-    rate: float,
-    interpolation: str = "parabolic",
-    max_lag: int | None = None,
-) -> float | np.ndarray:
-    """Cross-correlation delay estimate over integer lags in [0, max_lag).
-
-    The correlation is computed in the frequency domain (zero-padded, so it
-    equals the direct linear correlation), and the integer-lag peak is
-    refined by three-point parabolic interpolation when requested.  rx and
-    ref are (..., S) stacks of streams, paired row by row; a 1-D pair gives
-    a float, a stack an array of the leading shape.
-    """
-    rx = np.asarray(rx, dtype=float)
-    ref = np.asarray(ref, dtype=float)
-    if rx.shape[-1] == 0 or ref.shape[-1] == 0:
-        raise ValueError("empty sample buffers")
-    size = rx.shape[-1]
-    if max_lag is None:
-        max_lag = size
-    max_lag = min(max_lag, size)
-    tau = _peak_delay(_correlate(rx, ref, max_lag), rate, interpolation)
-    return float(tau) if tau.ndim == 0 else tau
-
-
 def _correlate(rx: np.ndarray, ref: np.ndarray, max_lag: int) -> np.ndarray:
     """Linear cross-correlation sum_n ref[n] rx[n + lag] on lags
-    [0, max_lag), shape (..., max_lag); the leading axes of rx and ref
-    broadcast, so one template spectrum serves a stack of streams."""
+    [0, max_lag), shape (..., max_lag) of rx; the leading axes of ref
+    broadcast against those of rx, so one template spectrum serves a stack
+    of streams."""
     nfft = _fft_len(rx.shape[-1] + max_lag)
-    cross = np.conj(np.fft.rfft(ref, nfft)) * np.fft.rfft(rx, nfft)
+    # the product overwrites the spectrum of rx: one stack-sized array less
+    spec = np.fft.rfft(rx, nfft)
+    cross = np.multiply(np.conj(np.fft.rfft(ref, nfft)), spec, out=spec)
     return np.fft.irfft(cross, nfft)[..., :max_lag]
 
 
-def _peak_delay(corr: np.ndarray, rate: float, interpolation: str) -> np.ndarray:
-    """Delay in seconds of the peak of each correlation row of (..., L)."""
+def _peak_delay(corr: np.ndarray, rate: float) -> np.ndarray:
+    """Delay in seconds of the peak of each correlation row of (..., L),
+    refined by three-point parabolic interpolation."""
     max_lag = corr.shape[-1]
     peak = np.argmax(corr, axis=-1)
-    delta = np.zeros(peak.shape)
-    if interpolation == "parabolic" and max_lag >= 3:
-        mid = np.clip(peak, 1, max_lag - 2)
-        near = np.take_along_axis(corr, mid[..., None] + np.arange(-1, 2), axis=-1)
-        left, centre, right = np.moveaxis(near, -1, 0)
-        denom = left - 2.0 * centre + right
-        # only an interior peak with a concave neighbourhood is refined
-        refine = (mid == peak) & (denom < 0)
-        step = 0.5 * (left - right) / np.where(refine, denom, -1.0)
-        delta = np.where(refine, np.clip(step, -0.5, 0.5), 0.0)
+    if max_lag < 3:
+        return peak / rate
+    mid = np.clip(peak, 1, max_lag - 2)
+    near = np.take_along_axis(corr, mid[..., None] + np.arange(-1, 2), axis=-1)
+    left, centre, right = np.moveaxis(near, -1, 0)
+    denom = left - 2.0 * centre + right
+    # only an interior peak with a concave neighbourhood is refined
+    refine = (mid == peak) & (denom < 0)
+    step = 0.5 * (left - right) / np.where(refine, denom, -1.0)
+    delta = np.where(refine, np.clip(step, -0.5, 0.5), 0.0)
     return (peak + delta) / rate
 
 
@@ -183,8 +160,7 @@ def delayed_clipped_stream(
     n = cfg.n_subcarriers
     freqs = np.fft.rfftfreq(n, d=1.0 / cfg.sample_rate)
     ramp = np.exp(-2j * np.pi * freqs * tof)
-    delayed = FrequencyGrid(x=grid.x * ramp[:, None], p_norm=grid.p_norm)
-    ts = to_time_domain(delayed, cfg, bias=0.0)
+    ts = to_time_domain(FrequencyGrid(x=grid.x * ramp[:, None]), cfg)
     stream = ts.pre_clip
     d_prev = int(np.ceil(tof * cfg.sample_rate - 1e-9))
     if d_prev > 0:
@@ -197,7 +173,7 @@ def delayed_clipped_stream(
 
 def reference_stream(grid: FrequencyGrid, cfg: OfdmConfig) -> np.ndarray:
     """Unclipped, unbiased template with cyclic-prefix regions zeroed."""
-    ts = to_time_domain(grid, cfg, bias=0.0)
+    ts = to_time_domain(grid, cfg)
     ref = ts.pre_clip
     windows = ref.reshape(*ref.shape[:-1], cfg.n_symbols, ts.cp_samples + ts.n_fft)
     windows[..., : ts.cp_samples] = 0.0
@@ -258,9 +234,7 @@ def rmse_vs_crb(
             rng.standard_normal(out=row)
         streams -= streams.mean(axis=-1, keepdims=True)
         c_clean, c_noise = _correlate(streams, reference_stream(grid, cfg), max_lag)
-        tau_hat = _peak_delay(
-            c_clean + sigma_v[:, None, None] * c_noise, cfg.sample_rate, "parabolic"
-        )
+        tau_hat = _peak_delay(c_clean + sigma_v[:, None, None] * c_noise, cfg.sample_rate)
         errors[:, trials.start : trials.stop] = 0.5 * SPEED_OF_LIGHT * (
             tau_hat - campaign.true_tof
         )
@@ -344,7 +318,7 @@ def verify_clipping_model(
     for block in _blocks(trials, cfg):
         rngs = [np.random.default_rng([seed, t]) for t in block]
         grid = generate_frame(cfg, p_norm, rng_seed=rngs, bias=b)
-        x = to_time_domain(grid, cfg, bias=b).symbol_cores()
+        x = to_time_domain(grid, cfg).symbol_cores()
         xp = np.maximum(x + b, 0.0)
         wp = xp - b - k_gain * x
         spec = np.fft.rfft(wp, axis=-1)

@@ -51,7 +51,6 @@ class FrequencyGrid:
     """
 
     x: np.ndarray
-    p_norm: np.ndarray
 
     @property
     def n_subcarriers(self) -> int:
@@ -119,23 +118,17 @@ def generate_frame(
         data = frame[1 : n // 2]
         data.real = scale * rng.standard_normal(shape)
         data.imag = scale * rng.standard_normal(shape)
-    return FrequencyGrid(x=x if stacked else x[0], p_norm=p)
+    return FrequencyGrid(x=x if stacked else x[0])
 
 
-def to_time_domain(
-    grid: FrequencyGrid,
-    cfg: OfdmConfig,
-    bias: float,
-) -> TimeSignal:
+def to_time_domain(grid: FrequencyGrid, cfg: OfdmConfig) -> TimeSignal:
     """Inverse real DFT of each symbol (1/sqrt(N) normalization) with the
     cyclic prefix prepended, for every frame of the grid's leading axes.
 
-    The bias, in [0, sqrt(P)], is checked against the power budget but not
-    added to the stream.  `irfft` would drop the imaginary parts of bins 0
-    and N/2 without a trace, so a grid with either bin nonzero is rejected.
+    The stream is unbiased: the caller adds the DC bias and clips.  `irfft`
+    would drop the imaginary parts of bins 0 and N/2 without a trace, so a
+    grid with either bin nonzero is rejected.
     """
-    if not 0.0 <= bias <= cfg.power_w**0.5:
-        raise ValueError("bias must lie in [0, sqrt(P)]")
     n = cfg.n_subcarriers
     if grid.n_subcarriers != n:
         raise ValueError("grid size does not match cfg.n_subcarriers")

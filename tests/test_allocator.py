@@ -12,8 +12,11 @@ from fso_isac.allocator import (
     DualIterationError,
     InfeasibleProblem,
     ProblemSpec,
+    _budget_level,
     _comm_allocation,
     _sense_allocation,
+    _subcarrier_step_comm,
+    _subcarrier_step_sense,
     _subcarrier_weights,
     dual_iterate_comm,
     dual_iterate_sense,
@@ -65,7 +68,7 @@ ORACLE_ETA_F = 10.938362133998115
 
 def comm_duals(gamma_c, gamma_s, target, p_max):
     """dual_iterate_comm from the eta = 0 water-filling level, as the BCD step calls it."""
-    _, mu0 = waterfill_comm(gamma_c, gamma_s, 0.0, p_max)
+    _, mu0 = waterfill_comm(gamma_c, p_max)
     return dual_iterate_comm(gamma_c, gamma_s, target, p_max, mu0)
 
 
@@ -138,23 +141,22 @@ class TestSolveBias:
 class TestWaterfill:
     def test_uniform_under_flat_gamma(self):
         gamma = np.full(3, 25.0)
-        p, mu = waterfill_comm(gamma, gamma, 0.0, 0.3)
+        p, mu = waterfill_comm(gamma, 0.3)
         assert_allclose(p, 1 / 6, rtol=1e-9)
 
     def test_cap_binding(self):
         gamma_c = np.array([1e9, 1.0, 1.0])
-        p, _ = waterfill_comm(gamma_c, np.ones(3), 0.0, 0.2)
+        p, _ = waterfill_comm(gamma_c, 0.2)
         assert p[0] == pytest.approx(0.2, abs=1e-12)
 
     def test_infeasible_target_rejected(self):
         with pytest.raises(ValueError):
-            waterfill_comm(np.ones(3), np.ones(3), 0.0, 0.05)
+            waterfill_comm(np.ones(3), 0.05)
 
     def test_dense_grid_oracle(self):
         gamma_c = np.array([10.0, 1.0, 0.1])
-        gamma_s = np.ones(3)
         p_max = 0.3
-        p, mu = waterfill_comm(gamma_c, gamma_s, 0.0, p_max)
+        p, mu = waterfill_comm(gamma_c, p_max)
         # generic projected water-filling: dense mu grid for the
         # budget-matching level, refined once around the coarse winner
         def grid_best(lo, hi):
@@ -167,6 +169,7 @@ class TestWaterfill:
         assert_allclose(p, alloc, atol=1e-6)
 
     def test_budget_precision(self):
+        # the eta-shifted xi_0 level, as dual_iterate_comm solves it
         rng = np.random.default_rng(3)
         for _ in range(20):
             n = rng.integers(4, 40)
@@ -174,7 +177,7 @@ class TestWaterfill:
             gamma_s = rng.uniform(0.01, 1000, n)
             eta = rng.uniform(0, 0.1)
             p_max = rng.uniform(0.5 / n * 1.2, 0.45)
-            p, mu = waterfill_comm(gamma_c, gamma_s, eta, p_max)
+            mu, p = _budget_level(1.0, eta * _subcarrier_weights(n) * gamma_s, gamma_c, p_max)
             assert abs(p.sum() - 0.5) < 1e-10
             assert p.sum() <= 0.5  # the level is the feasible end of its bracket
             assert np.all(p >= 0) and np.all(p <= p_max + 1e-12)
@@ -182,9 +185,17 @@ class TestWaterfill:
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            waterfill_comm(np.array([1.0, -2.0]), np.ones(2), 0.0, 0.4)
-        with pytest.raises(ValueError):
-            waterfill_comm(np.ones(2), np.ones(2), -1.0, 0.4)
+            waterfill_comm(np.array([1.0, -2.0]), 0.4)
+
+    @pytest.mark.parametrize("eta", [1e-12, 1e-9, 1e-6])
+    def test_budget_small_scale(self, eta):
+        # the psi_0 level near eta = 0: one ulp of mu moves sum p by more
+        # than POWER_SUM_TOL, and the allocation tends to the sensing LP
+        k2gs = _subcarrier_weights(7) * N16_GAMMA_S
+        mu, p = _budget_level(eta, k2gs, N16_GAMMA_C, N16_P_MAX)
+        assert abs(p.sum() - 0.5) <= 1e-12
+        assert np.all(p >= 0) and np.all(p <= N16_P_MAX)
+        assert_allclose(p, sensing_lp(N16_GAMMA_S, N16_P_MAX), rtol=0, atol=1e-12)
 
 
 class TestSensingLp:
@@ -257,7 +268,7 @@ class TestSensingLp:
 
 class TestDualIterateComm:
     def test_oracle_fixture_case_a(self):
-        p, mu = waterfill_comm(N16_GAMMA_C, N16_GAMMA_S, 0.0, N16_P_MAX)
+        p, mu = waterfill_comm(N16_GAMMA_C, N16_P_MAX)
         assert np.max(np.abs(p - ORACLE_P_A)) < 1e-5
         assert mu == pytest.approx(ORACLE_MU_A, rel=1e-5)
 
@@ -352,6 +363,26 @@ class TestCoupledDuals:
                          "sensing_lp": 1}
 
 
+class TestFloorJustAboveUncoupled:
+    """A floor 1e-13 relative above what the uncoupled allocation reaches
+    (water-filling for comm, sensing LP for sense) is not met by it: the
+    step falls through to the coupled case, which meets the floor."""
+
+    def test_comm_case_c(self):
+        p_wf, _ = waterfill_comm(N16_GAMMA_C, N16_P_MAX)
+        floor = float(np.sum(N16_K2GS * p_wf)) * (1.0 + 1e-13)
+        p, case, _, _ = _subcarrier_step_comm(N16_GAMMA_C, N16_GAMMA_S, floor, N16_P_MAX)
+        assert case == CASE_C
+        assert float(np.sum(N16_K2GS * p)) >= floor
+
+    def test_sense_case_f(self):
+        p_lp = sensing_lp(N16_GAMMA_S, N16_P_MAX)
+        floor = float(np.sum(np.log1p(N16_GAMMA_C * p_lp))) * (1.0 + 1e-13)
+        p, case, _, _ = _subcarrier_step_sense(N16_GAMMA_C, N16_GAMMA_S, floor, N16_P_MAX)
+        assert case == CASE_F
+        assert float(np.sum(np.log1p(N16_GAMMA_C * p))) >= floor
+
+
 def _desk_spec_comm(model, precision_m, p_max=0.04):
     return ProblemSpec.comm_centric(precision_m=precision_m, p_max=p_max)
 
@@ -362,7 +393,7 @@ class TestSolveP1P2:
         sol = solve_p1(spec, desk_model)
         assert sol.case_tag == CASE_A
         snr = desk_model.snr(sol.b_opt, sol.p_norm)
-        p_wf, _ = waterfill_comm(snr.gamma_c, snr.gamma_s, 0.0, 0.04)
+        p_wf, _ = waterfill_comm(snr.gamma_c, 0.04)
         assert np.max(np.abs(sol.p_norm - p_wf)) < 1e-9
         assert sol.converged
 

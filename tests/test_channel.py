@@ -110,12 +110,6 @@ def test_gain_moment_switch():
     assert chan.gain_sq_c() == pytest.approx(chan.h_bar_c**2)
 
 
-def test_default_responses_flat():
-    chan = stationary_gains(table1_link(), table1_link())
-    assert np.all(chan.response_c(16) == 1.0)
-    assert np.all(chan.response_s(16) == 1.0)
-
-
 def test_link_params_validation():
     with pytest.raises(ValueError):
         LinkParams(path_m=0.0, wavelength_m=905e-9, cn2=0, atten_db_per_km=-12.8,

@@ -161,6 +161,34 @@ def test_exit_64_verify_too_few_trials(scenario_dir, tmp_path, trials):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("values, message", [
+    (["--values", "abc"], "argument --values: invalid number list: 'abc'"),
+    (["--values", ","], "argument --values: needs at least one value"),
+    (["--range", "1:2"], "argument --range: expected start:stop:count, got '1:2'"),
+    (["--range", "12:16:0"], "argument --range: count must be at least 1, got 0"),
+    ([], "one of the arguments --values --range is required"),
+    (["--values", "12", "--range", "12:16:2"],
+     "argument --range: not allowed with argument --values"),
+], ids=["values-not-numbers", "values-empty", "range-two-fields", "range-count-0",
+        "neither", "both"])
+def test_exit_64_bad_sweep_values(scenario_dir, tmp_path, values, message):
+    proc = run_cli("sweep", "--scenario", str(scenario_dir / "desk.json"),
+                   "--out", str(tmp_path), "--param", "precision_cm", *values)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr.startswith("usage: fso-isac sweep")
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not any(tmp_path.iterdir())
+
+
+def test_sweep_range(scenario_dir, tmp_path):
+    assert main(["sweep", "--scenario", str(scenario_dir / "desk.json"), "--out",
+                 str(tmp_path), "--param", "precision_cm", "--range", "12:16:2"]) == 0
+    with open(tmp_path / "sweep.csv", encoding="utf-8", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [(r["value"], r["status"]) for r in rows] == [("12.0", "ok"), ("16.0", "ok")]
+
+
 def test_exit_1_scenario_too_few_trials(scenario_dir, tmp_path):
     doc = json.loads((scenario_dir / "desk.json").read_text(encoding="utf-8"))
     doc["mc"]["trials"] = 1

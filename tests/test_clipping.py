@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +8,8 @@ from scipy.integrate import quad
 from fso_isac.channel import ChannelState
 from fso_isac.clipping import (
     MEHLER_CUT,
-    R_X_DOMAIN_TOL,
     _price_core,
-    autocorrelation,
+    _r_wp,
     bussgang_gain,
     clip_moments,
     clipping_psd,
@@ -28,6 +28,7 @@ MEAN_WP_B1 = 0.0833154705876863
 POWER_WP_B1 = 0.0501682937437156
 # lam = -b/sigma_x from half the samples clipped (lam = 0) to almost none
 SERIES_LAMS = (0.0, -0.3, -1.0, -2.0, -3.5, -6.0, -10.0)
+PRICE_LAMS = (0.0, -0.05, -0.3, -1.0, -3.5, -9.0)
 
 
 def closed_form_b0(r, var=1.0):
@@ -56,15 +57,26 @@ def price_integral(r, b, sigma_x):
     return var * val
 
 
+def gauss_legendre_price(rho, c, n_gl=384):
+    """J(rho; c) = I(rho sigma^2) / sigma^2 by an n_gl-node Gauss-Legendre
+    rule in the sine-substituted form, twice the order the package uses."""
+    nodes, weights = np.polynomial.legendre.leggauss(n_gl)
+    half = (np.arcsin(rho) + np.pi / 2.0) / 2.0
+    s = np.sin(half[:, None] * (nodes[None, :] + 1.0) - np.pi / 2.0)
+    kernel = np.exp(-c / (1.0 + s)) if c > 0 else np.ones_like(s)
+    return half / (2.0 * np.pi) * np.einsum("ij,j->i", (rho[:, None] - s) * kernel, weights)
+
+
 def quadrature_r_wp(b, sigma_x, r):
-    """I(r) + C1 r + C2 with every integral by 384-node Gauss-Legendre."""
+    """I(r) + C1 r + C2 with every integral by 384-node Gauss-Legendre, C1
+    and C2 fitted to the endpoint integrals I(0) and I(sigma_x^2)."""
     var = sigma_x**2
     c = (b / sigma_x) ** 2
     mean, power = clip_moments(b, sigma_x)
-    i_zero, i_var = var * _price_core(np.array([0.0, 1.0]), c, n_gl=384)
+    i_zero, i_var = var * gauss_legendre_price(np.array([0.0, 1.0]), c)
     c2 = mean**2 - i_zero
     c1 = (power - c2 - i_var) / var
-    return var * _price_core(r / var, c, n_gl=384) + c1 * r + c2
+    return var * gauss_legendre_price(r / var, c) + c1 * r + c2
 
 
 def nested_quad_oracle(r, b, sigma_x=1.0):
@@ -192,6 +204,54 @@ class TestPriceIntegral:
         assert v2 == pytest.approx(4.0 * v1, rel=1e-10)
 
 
+def mp_price_integral(rho, lam):
+    """I(rho) at sigma_x = 1 and b = -lam by 40-digit tanh-sinh quadrature.
+
+    With t = theta + pi/2 the kernel's 1 + sin(theta) is 2 sin(t/2)^2,
+    which keeps its digits where theta nears -pi/2.  mpmath stops on an
+    absolute error, so the kernel is scaled by e^c and the result by e^-c:
+    at lam = -9, I(0) is 1.5e-40.
+    """
+    with mpmath.workdps(40):
+        rho, c = mpmath.mpf(rho), mpmath.mpf(lam) ** 2
+
+        def integrand(t):
+            cos_t = mpmath.cos(t)
+            return (rho + cos_t) * mpmath.exp(-c * cos_t / (2 * mpmath.sin(t / 2) ** 2))
+
+        upper = mpmath.asin(rho) + mpmath.pi / 2
+        return mpmath.quad(integrand, [0, upper]) * mpmath.exp(-c) / (2 * mpmath.pi)
+
+
+class TestPriceConstants:
+    @pytest.mark.parametrize("lam", PRICE_LAMS)
+    def test_closed_form(self, lam):
+        # R_wp(r) = I(r) - Q(b/sigma_x)^2 r, i.e. C2 = 0 and C1 = -(1 - K)^2:
+        # E(w_p)^2 = I(0) and E(w_p^2) + Q(b/sigma_x)^2 sigma_x^2 = I(sigma_x^2),
+        # with clip_moments' formulas and I in 40 digits (residuals measure
+        # below 1e-38 relative)
+        with mpmath.workdps(40):
+            lam_mp = mpmath.mpf(lam)
+            phi, k, q = mpmath.npdf(lam_mp), mpmath.ncdf(-lam_mp), mpmath.ncdf(lam_mp)
+            mean = abs(phi + lam_mp * q)
+            power = lam_mp**2 * q + lam_mp * phi + k * q
+            i_zero, i_var = mp_price_integral(0, lam), mp_price_integral(1, lam)
+            assert abs(mean**2 - i_zero) <= 1e-30 * i_zero
+            assert abs(power + q**2 - i_var) <= 1e-30 * i_var
+
+    @pytest.mark.parametrize("lam", PRICE_LAMS)
+    def test_negative_lags(self, lam):
+        # quadrature lags below -1/2 against the 40-digit closed form: over
+        # 201 lam in [-10, 0] they err by at most 4.7e-16, against 3.2e-15
+        # with C1 and C2 fitted to 384-node endpoint integrals
+        rho = np.array([-0.999, -0.9, -0.75, -0.6, np.nextafter(-MEHLER_CUT, -1.0)])
+        r_wp = _r_wp(-lam, 1.0, np.concatenate([[1.0], rho]))[2][1:]
+        with mpmath.workdps(40):
+            q = mpmath.ncdf(lam)
+            expected = [float(mp_price_integral(r, lam) - q**2 * r) for r in rho]
+        assert_allclose(r_wp, expected, rtol=0, atol=1e-15)
+
+
 class TestPriceCore:
     def test_vector_and_scalar(self):
         rho = np.linspace(-1.0, 1.0, 7)
@@ -213,7 +273,7 @@ class TestAutocorrelation:
         mean, power = clip_moments(0.3, sigma)
         r_x = np.zeros(32)
         r_x[0] = sigma**2
-        r_wp = autocorrelation(0.3, sigma, r_x)
+        r_wp = _r_wp(0.3, sigma, r_x)[2]
         assert r_wp[0] == pytest.approx(power, rel=1e-12)
         assert_allclose(r_wp[1:], mean**2, rtol=1e-8)
 
@@ -227,7 +287,7 @@ class TestAutocorrelation:
             c2 = mean**2 - price_integral(0.0, b, 1.0)
             c1 = power - c2 - price_integral(1.0, b, 1.0)
             expected = [price_integral(float(r), b, 1.0) + c1 * r + c2 for r in rs]
-            r_wp = autocorrelation(b, 1.0, r_x)
+            r_wp = _r_wp(b, 1.0, r_x)[2]
             assert np.max(np.abs(r_wp[1:] - expected)) < 1e-8
 
     def test_stats_match_autocorrelation(self, table1_cfg):
@@ -235,22 +295,19 @@ class TestAutocorrelation:
         n = table1_cfg.n_subcarriers
         p = lp_step_allocation(table1_cfg.n_data_subcarriers, 0.005)
         stats = compute_clipping_stats(0.05, p, table1_cfg)  # b ~ 1.6 sigma_x
-        full = autocorrelation(0.05, np.sqrt(stats.sigma_x2), stats.r_x)
+        full = _r_wp(0.05, np.sqrt(stats.sigma_x2), stats.r_x)[2]
         assert_array_equal(stats.r_wp[: n // 2 + 1], full[: n // 2 + 1])
         assert_allclose(stats.r_wp, full, rtol=0, atol=1e-15 * stats.power_wp)
 
     def test_budget_edge_accepted(self, desk_cfg):
         # validate_p_norm admits |sum p - 1/2| <= 1e-9, which puts r_x[0] up
         # to 2e-9 off sigma_x^2: the stats path must accept that allocation
-        # while autocorrelation() keeps its own 1e-9 domain check
         n_data = desk_cfg.n_data_subcarriers
         p = np.full(n_data, (0.5 + 0.9e-9) / n_data)
         stats = compute_clipping_stats(0.1, p, desk_cfg)
-        assert stats.r_x[0] > stats.sigma_x2 * (1.0 + R_X_DOMAIN_TOL)
+        assert stats.r_x[0] > stats.sigma_x2 * (1.0 + 1e-9)
         assert stats.r_wp[0] == stats.power_wp
         assert np.all(np.isfinite(stats.p_wp))
-        with pytest.raises(ValueError):
-            autocorrelation(0.1, np.sqrt(stats.sigma_x2), stats.r_x)
 
     def test_even_symmetry(self, desk_cfg):
         p = lp_step_allocation(desk_cfg.n_data_subcarriers, 0.02)
@@ -265,7 +322,7 @@ class TestAutocorrelation:
         rho = np.linspace(-1, 1, 21)
         r_x = rho * var
         r_x[0] = var
-        r_wp = autocorrelation(0.0, sigma, r_x)
+        r_wp = _r_wp(0.0, sigma, r_x)[2]
         expected = (var / (2 * np.pi)) * (np.sqrt(1 - rho**2) + rho * np.arcsin(rho)) \
             + var * rho / 4.0 - var * rho / 4.0  # arcsine law of E(|x1||x2|)/4
         # w_p = |x|/2 at b=0, so R_wp = E(|x_n||x_m|)/4
@@ -279,15 +336,9 @@ class TestAutocorrelation:
             mean, power = clip_moments(b, sigma)
             r_x = np.zeros(16)
             r_x[0] = sigma**2
-            r_wp = autocorrelation(b, sigma, r_x)
+            r_wp = _r_wp(b, sigma, r_x)[2]
             assert r_wp[3] == pytest.approx(mean**2, rel=1e-8, abs=1e-20)
             assert r_wp[0] == pytest.approx(power, rel=1e-8)
-
-    def test_domain_validation(self):
-        with pytest.raises(ValueError):
-            autocorrelation(0.1, 1.0, np.array([0.9, 0.1]))
-        with pytest.raises(ValueError):
-            autocorrelation(0.1, 1.0, np.array([1.0, 1.2]))
 
 
 class TestMehlerSeries:
@@ -296,7 +347,7 @@ class TestMehlerSeries:
         sigma = 1.3
         var = sigma**2
         r = np.linspace(-0.5, 0.5, 201) * var
-        r_wp = autocorrelation(-lam * sigma, sigma, np.concatenate([[var], r]))
+        r_wp = _r_wp(-lam * sigma, sigma, np.concatenate([[var], r]))[2]
         err = np.max(np.abs(r_wp[1:] - quadrature_r_wp(-lam * sigma, sigma, r)))
         assert err <= 2e-15 * var
 
@@ -304,11 +355,11 @@ class TestMehlerSeries:
     def test_seam(self, lam):
         # the series at rho = 1/2 against the quadrature one float above it.
         # The gap is the 192-node quadrature's own error: against a 40-digit
-        # evaluation that side errs by 4.3e-15 at lam = -0.3 and by 1.13e-14
+        # evaluation that side errs by 1.8e-15 at lam = -0.3 and by 7.1e-15
         # at lam = -0.05 (the worst of 201 lam in [-10, 0]), the series side
         # by less than 1e-16
         rho = np.array([1.0, MEHLER_CUT, np.nextafter(MEHLER_CUT, 1.0)])
-        r_wp = autocorrelation(-lam, 1.0, rho)
+        r_wp = _r_wp(-lam, 1.0, rho)[2]
         assert abs(r_wp[1] - r_wp[2]) <= 1.2e-14
 
     @pytest.mark.parametrize("n", [256, 1024, 4096])
@@ -358,8 +409,8 @@ class TestMehlerSeries:
         rho = np.abs(r_x[1:]) / r_x[0]
         assert np.any(rho > MEHLER_CUT) and np.any(rho <= MEHLER_CUT)
         b = 0.8 * sigma
-        full = autocorrelation(b, sigma, r_x)
-        single = [autocorrelation(b, sigma, r_x[[0, k]])[1] for k in range(1, r_x.size)]
+        full = _r_wp(b, sigma, r_x)[2]
+        single = [_r_wp(b, sigma, r_x[[0, k]])[2][1] for k in range(1, r_x.size)]
         assert_array_equal(full[1:], single)
 
 
@@ -375,7 +426,7 @@ class TestClippingPsd:
         mean, power = clip_moments(0.4, sigma)
         r_x = np.zeros(64)
         r_x[0] = 1.0
-        r_wp = autocorrelation(0.4, sigma, r_x)
+        r_wp = _r_wp(0.4, sigma, r_x)[2]
         p = clipping_psd(r_wp)
         assert_allclose(p[1:], power - mean**2, rtol=1e-7)
 
@@ -412,7 +463,7 @@ class TestSignalAutocorrelation:
         n_frames = 150
         for t in range(n_frames):
             grid = generate_frame(desk_cfg, p, rng_seed=[31, t], bias=0.0)
-            x = to_time_domain(grid, desk_cfg, bias=0.0).symbol_cores()
+            x = to_time_domain(grid, desk_cfg).symbol_cores()
             spec = np.fft.fft(x, axis=1)
             acc += np.mean(np.fft.ifft(spec * np.conj(spec), axis=1).real, axis=0)
         emp = acc / n_frames / desk_cfg.n_subcarriers
@@ -465,13 +516,13 @@ class TestMonteCarloAgreement:
     def test_moments_with_real_frames(self, clip_cfg):
         # mid-clipping operating point: b = 1.5 sigma_x
         p = uniform_allocation(clip_cfg)
-        sigma0 = np.sqrt(clip_cfg.signal_variance(0.0))
+        sigma0 = np.sqrt(clip_cfg.power_w / clip_cfg.n_subcarriers)
         b = 1.5 * sigma0
         stats = compute_clipping_stats(b, p, clip_cfg)
         acc_m = acc_p = n = 0.0
         for t in range(70):
             grid = generate_frame(clip_cfg, p, rng_seed=[41, t], bias=b)
-            x = to_time_domain(grid, clip_cfg, bias=b).symbol_cores()
+            x = to_time_domain(grid, clip_cfg).symbol_cores()
             wp = np.maximum(x + b, 0.0) - b - stats.bussgang * x
             acc_m += wp.sum()
             acc_p += (wp**2).sum()

@@ -11,9 +11,10 @@ from fso_isac.config import SPEED_OF_LIGHT, OfdmConfig
 from fso_isac.monte_carlo import (
     McCampaign,
     RmseReport,
+    _correlate,
     _fft_len,
+    _peak_delay,
     delayed_clipped_stream,
-    estimate_tof,
     reference_stream,
     rmse_vs_crb,
     verify_clipping_model,
@@ -52,9 +53,9 @@ def full_grid_stream(full, cfg):
 
 def oracle_rmse_errors(campaign, model, b, p):
     """Range errors of a one-trial-at-a-time loop: full mirrored grid,
-    complex IDFT, 1-D estimate_tof; draws frame, turbulence, noise.  Every
-    SNR point redraws trial t from the key (seed, 0, t) and builds its own
-    rx = clean + sigma_v noise, mean removed as a whole."""
+    complex IDFT, 1-D correlation and peak search; draws frame, turbulence,
+    noise.  Every SNR point redraws trial t from the key (seed, 0, t) and
+    builds its own rx = clean + sigma_v noise, mean removed as a whole."""
     cfg, chan = model.cfg, model.chan
     n, cp, rs = cfg.n_subcarriers, cfg.guard_samples, cfg.sample_rate
     norm = 2.0 * chan.reflectivity**2 * chan.gain_sq_s()
@@ -76,7 +77,7 @@ def oracle_rmse_errors(campaign, model, b, p):
             rx -= rx.mean()
             ref = full_grid_stream(full, cfg).reshape(cfg.n_symbols, -1)
             ref[:, :cp] = 0.0
-            tau = estimate_tof(rx, ref.reshape(-1), rs, max_lag=cp)
+            tau = float(_peak_delay(_correlate(rx, ref.reshape(-1), cp), rs))
             errors.append(0.5 * SPEED_OF_LIGHT * (tau - campaign.true_tof))
         out.append(np.array(errors))
     return out
@@ -148,15 +149,16 @@ def oracle_clipping_rows(cfg, b, p, trials, seed):
 
 
 class TestEstimateTof:
+    """The estimator of rmse_vs_crb: `_correlate` against the template,
+    then `_peak_delay` (argmax plus parabolic refinement)."""
+
     def test_exact_integer_lag(self, small_cfg):
         p = uniform_allocation(small_cfg)
         grid = generate_frame(small_cfg, p, rng_seed=1, bias=0.2)
-        rs = small_cfg.sample_rate
-        tof = 9.0 / rs
-        rx = delayed_clipped_stream(grid, small_cfg, 0.2, tof)
-        tau = estimate_tof(rx - rx.mean(), reference_stream(grid, small_cfg), rs,
-                           interpolation="none", max_lag=small_cfg.guard_samples)
-        assert tau == tof
+        rx = delayed_clipped_stream(grid, small_cfg, 0.2, 9.0 / small_cfg.sample_rate)
+        corr = _correlate(rx - rx.mean(), reference_stream(grid, small_cfg),
+                          small_cfg.guard_samples)
+        assert np.argmax(corr) == 9
 
     def test_fractional_against_fine_grid_oracle(self, desk_cfg):
         # brute-force oracle: correlate against delayed replicas on a fine
@@ -168,7 +170,7 @@ class TestEstimateTof:
         rx = delayed_clipped_stream(grid, desk_cfg, 0.15, tof)
         rx = rx - rx.mean()
         ref = reference_stream(grid, desk_cfg)
-        tau = estimate_tof(rx, ref, rs, "parabolic", max_lag=desk_cfg.guard_samples)
+        tau = _peak_delay(_correlate(rx, ref, desk_cfg.guard_samples), rs)
 
         fine = np.arange(29.5, 31.5, 0.01) / rs
         scores = []
@@ -183,16 +185,10 @@ class TestEstimateTof:
     def test_high_noise_spread(self, small_cfg):
         # no-signal limit: estimates scatter over the whole search window
         p = uniform_allocation(small_cfg)
-        rs = small_cfg.sample_rate
         grid = generate_frame(small_cfg, p, rng_seed=3, bias=0.0)
         ref = reference_stream(grid, small_cfg)
-        rng = np.random.default_rng(0)
-        lags = []
-        for _ in range(200):
-            rx = rng.standard_normal(ref.size)
-            lags.append(estimate_tof(rx, ref, rs, "none",
-                                     max_lag=small_cfg.guard_samples) * rs)
-        lags = np.asarray(lags)
+        rx = np.random.default_rng(0).standard_normal((200, ref.size))
+        lags = np.argmax(_correlate(rx, ref, small_cfg.guard_samples), axis=-1)
         assert lags.std() > 0.2 * small_cfg.guard_samples
         assert lags.min() < 5 and lags.max() > small_cfg.guard_samples - 5
 
@@ -203,9 +199,9 @@ class TestEstimateTof:
             rx = rng.standard_normal(size)
             ref = rng.standard_normal(size)
             direct = [float(np.dot(ref[: size - lag], rx[lag:])) for lag in range(max_lag)]
-            best = int(np.argmax(direct))
-            tau = estimate_tof(rx, ref, 1.0, "none", max_lag=max_lag)
-            assert tau == best
+            corr = _correlate(rx, ref, max_lag)
+            assert_allclose(corr, direct, rtol=0, atol=1e-12 * size)
+            assert np.argmax(corr) == np.argmax(direct)
 
     def test_fft_len_brute_force(self):
         limit = 10**5
@@ -219,21 +215,19 @@ class TestEstimateTof:
         assert [_fft_len(int(n)) for n in ns] == expected.tolist()
 
     def test_stacked_rows_match_single(self):
-        # a (T, S) stack estimates each row bit for bit as a 1-D call
+        # a (T, S) stack correlates and estimates each row bit for bit as a
+        # 1-D call
         rng = np.random.default_rng(8)
         ref = rng.standard_normal((5, 700))
         rx = np.roll(ref, 9, axis=-1) + 0.5 * rng.standard_normal((5, 700))
-        for interpolation in ("parabolic", "none"):
-            taus = estimate_tof(rx, ref, 2.0, interpolation, max_lag=40)
-            assert taus.shape == (5,)
-            single = [estimate_tof(a, r, 2.0, interpolation, max_lag=40)
-                      for a, r in zip(rx, ref)]
-            assert all(isinstance(tau, float) for tau in single)
-            assert_array_equal(taus, single)
-
-    def test_empty_buffers(self):
-        with pytest.raises(ValueError):
-            estimate_tof(np.array([]), np.array([]), 1.0)
+        corr = _correlate(rx, ref, 40)
+        assert corr.shape == (5, 40)
+        single = [_correlate(a, r, 40) for a, r in zip(rx, ref)]
+        assert_array_equal(corr, single)
+        assert_array_equal(np.argmax(corr, axis=-1), [np.argmax(c) for c in single])
+        taus = _peak_delay(corr, 2.0)
+        assert taus.shape == (5,)
+        assert_array_equal(taus, [_peak_delay(c, 2.0) for c in single])
 
 
 class TestDelayedStream:
@@ -242,7 +236,7 @@ class TestDelayedStream:
         grid = generate_frame(small_cfg, p, rng_seed=11, bias=0.3)
         rs = small_cfg.sample_rate
         d = 7
-        plain = np.maximum(to_time_domain(grid, small_cfg, bias=0.3).pre_clip + 0.3, 0.0)
+        plain = np.maximum(to_time_domain(grid, small_cfg).pre_clip + 0.3, 0.0)
         shifted = delayed_clipped_stream(grid, small_cfg, 0.3, d / rs)
         assert_allclose(shifted[d:], plain[:-d], atol=1e-14)
 
@@ -258,7 +252,7 @@ class TestDelayedStream:
 
     def test_zero_grid_bias(self, small_cfg):
         grid = generate_frame(small_cfg, uniform_allocation(small_cfg), rng_seed=0)
-        zero = type(grid)(x=np.zeros_like(grid.x), p_norm=grid.p_norm)
+        zero = type(grid)(x=np.zeros_like(grid.x))
         assert_array_equal(delayed_clipped_stream(zero, small_cfg, 0.5, 0.0), 0.5)
         assert_array_equal(delayed_clipped_stream(zero, small_cfg, 0.0, 0.0), 0.0)
 
@@ -415,7 +409,7 @@ class TestVerifyClippingModel:
         assert report.passed
 
     def test_deep_bias_all_floors(self, clip_cfg):
-        b = 3.5 * np.sqrt(clip_cfg.signal_variance(0.0))
+        b = 3.5 * np.sqrt(clip_cfg.power_w / clip_cfg.n_subcarriers)
         report = verify_clipping_model(clip_cfg, b, uniform_allocation(clip_cfg),
                                        trials=10, seed=22)
         assert report.passed

@@ -84,9 +84,9 @@ def test_time_domain_real_and_parseval(desk_cfg):
     n = desk_cfg.n_subcarriers
     full = mirrored_grid(grid.x, n)
     core = np.fft.ifft(full, axis=0) * np.sqrt(n)
-    sigma_x = np.sqrt(desk_cfg.signal_variance(0.0))
+    sigma_x = np.sqrt(desk_cfg.power_w / n)
     assert np.max(np.abs(core.imag)) < 1e-10 * sigma_x
-    ts = to_time_domain(grid, desk_cfg, bias=0.0)
+    ts = to_time_domain(grid, desk_cfg)
     # Parseval per symbol: time power == sum over all N bins of |X|^2 / N
     x = ts.symbol_cores()
     lhs = np.sum(x**2, axis=1)
@@ -101,26 +101,17 @@ def test_time_domain_variance_mc(clip_cfg):
     samples = []
     for t in range(40):
         grid = generate_frame(clip_cfg, p, rng_seed=[9, t], bias=b)
-        samples.append(to_time_domain(grid, clip_cfg, bias=b).symbol_cores())
+        samples.append(to_time_domain(grid, clip_cfg).symbol_cores())
     var = np.concatenate(samples).var()
-    assert var == pytest.approx(clip_cfg.signal_variance(b), rel=0.01)
+    assert var == pytest.approx((clip_cfg.power_w - b**2) / clip_cfg.n_subcarriers, rel=0.01)
 
 
 def test_zero_grid_bias():
-    # the stream is unbiased: a zero grid stays zero at any bias
+    # the stream is unbiased: a zero grid gives a zero stream
     cfg = OfdmConfig(n_symbols=2, n_subcarriers=16, delta_f=1e5, guard_s=0.0, power_w=1.0)
     grid = generate_frame(cfg, np.full(7, 0.5 / 7), rng_seed=0)
-    zero = type(grid)(x=np.zeros_like(grid.x), p_norm=grid.p_norm)
-    for b in (0.0, 0.5):
-        assert_array_equal(to_time_domain(zero, cfg, bias=b).pre_clip, 0.0)
-
-
-def test_bias_out_of_range(desk_cfg):
-    grid = generate_frame(desk_cfg, uniform_allocation(desk_cfg), rng_seed=0)
-    with pytest.raises(ValueError):
-        to_time_domain(grid, desk_cfg, bias=-0.1)
-    with pytest.raises(ValueError):
-        to_time_domain(grid, desk_cfg, bias=1.5)
+    zero = type(grid)(x=np.zeros_like(grid.x))
+    assert_array_equal(to_time_domain(zero, cfg).pre_clip, 0.0)
 
 
 @settings(max_examples=20, deadline=None)
@@ -134,11 +125,11 @@ def test_grid_hermitian_and_real_property(seed, bias_frac):
     grid = generate_frame(cfg, p, rng_seed=seed, bias=b)
     n = cfg.n_subcarriers
     assert grid.x.shape == (n // 2 + 1, cfg.n_symbols)
-    ts = to_time_domain(grid, cfg, bias=b)
+    ts = to_time_domain(grid, cfg)
     assert ts.pre_clip.dtype == np.float64
     assert ts.pre_clip.shape == (cfg.n_symbols * (n + cfg.guard_samples),)
     full = np.fft.ifft(mirrored_grid(grid.x, n), axis=0) * np.sqrt(n)
-    sigma_x = np.sqrt(cfg.signal_variance(b))
+    sigma_x = np.sqrt((cfg.power_w - b**2) / n)
     assert np.max(np.abs(full.imag)) <= 1e-15 * sigma_x * n
     assert np.max(np.abs(ts.symbol_cores() - full.real.T)) <= 1e-15 * sigma_x * n
 
@@ -152,8 +143,8 @@ def test_half_spectrum_matches_full_ifft(table1_cfg):
     n, cp = table1_cfg.n_subcarriers, table1_cfg.guard_samples
     core = (np.fft.ifft(mirrored_grid(grid.x, n), axis=0) * np.sqrt(n)).real
     expected = np.concatenate([core[n - cp :], core]).T.reshape(-1)
-    sigma_x = np.sqrt(table1_cfg.signal_variance(b))
-    ts = to_time_domain(grid, table1_cfg, bias=b)
+    sigma_x = np.sqrt((table1_cfg.power_w - b**2) / n)
+    ts = to_time_domain(grid, table1_cfg)
     assert np.max(np.abs(ts.pre_clip - expected)) <= 1e-15 * sigma_x * n
 
 
@@ -166,7 +157,7 @@ def test_nonzero_edge_bin_rejected(k):
         x = grid.x.copy()
         x[k, 1] = value
         with pytest.raises(ValueError, match="bins 0 and N/2"):
-            to_time_domain(type(grid)(x=x, p_norm=grid.p_norm), cfg, bias=0.0)
+            to_time_domain(type(grid)(x=x), cfg)
 
 
 def test_stacked_equals_single_frames(desk_cfg):
@@ -180,9 +171,9 @@ def test_stacked_equals_single_frames(desk_cfg):
     assert (block.n_subcarriers, block.n_symbols) == (singles[0].n_subcarriers,
                                                       singles[0].n_symbols)
     assert_array_equal(block.x, np.stack([g.x for g in singles]))
-    ts = to_time_domain(block, desk_cfg, bias=b)
+    ts = to_time_domain(block, desk_cfg)
     assert ts.n_symbols == desk_cfg.n_symbols
     for t, grid in enumerate(singles):
-        single = to_time_domain(grid, desk_cfg, bias=b)
+        single = to_time_domain(grid, desk_cfg)
         assert_array_equal(ts.pre_clip[t], single.pre_clip)
         assert_array_equal(ts.symbol_cores()[t], single.symbol_cores())
