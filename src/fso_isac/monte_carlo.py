@@ -8,20 +8,30 @@ variance N_s B / (2 R^2 E(h_s)^2).  With that normalization the Fisher
 information of the simulated estimation problem equals the analytical
 delay-domain value, so the RMSE/CRB ratio tends to one.
 
-The correlation template is the unclipped, unbiased transmitted stream
-with the cyclic-prefix regions zeroed: the analytical information counts
-M*N samples per frame, so the estimator must not collect extra energy from
-the prefixes.
+The correlation template is the unclipped, unbiased transmitted frame
+without its cyclic prefixes, the M symbol cores of N samples: the
+analytical information counts M*N samples per frame, so the estimator must
+not collect extra energy from the prefixes.  At the lags of the search
+window, [0, N_cp), the core of symbol m meets only its own window of the
+received stream: N + N_cp samples from the start of that core to the end
+of the next symbol's prefix, or of a zero tail after the last symbol.  The
+windows are disjoint, so the stream correlation is a sum over symbols of
+short correlations: one FFT of length _fft_len(N + N_cp) per symbol, the
+products summed in the frequency domain, one inverse FFT per stream (block
+FFT correlation; Oppenheim & Schafer, Discrete-Time Signal Processing,
+section 8.7).
 
 Trials run in blocks.  Each trial draws from its own generator, in the
 order frame, turbulence, noise, so a report does not depend on the block
 size; verification frame t is seeded by (seed, t).  A block then goes
 through each NumPy stage as one stacked call: half-spectrum synthesis of
 the template and the delayed stream, the prefix patch, the clip, the mean
-removal and the FFT correlation.  A block holds max(1, BLOCK_SAMPLES // S)
-trials, S = M (N + N_cp) samples per stream, so the memory a block adds is
-bounded by the sample budget, not by the trial count: 4 trials of 5744
-samples on the desk scenario, 1 trial of 91776 on the reference one.
+removal and the symbol-wise correlation.  A block holds
+max(1, BLOCK_SAMPLES // S) trials, S = M (N + N_cp) samples per stream, so
+the memory a block adds is bounded by the sample budget, not by the trial
+count: 4 trials of 5744 samples on the desk scenario, 1 trial of 91776 on
+the reference one.  The ToF loop writes each block's streams into one
+zero-tailed buffer, allocated once per campaign for the largest block.
 
 The SNR points of a ToF campaign share their trials (common random
 numbers).  Trial t draws one frame, one fade and one unit-variance noise
@@ -85,8 +95,10 @@ def _fft_len(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n.
 
     A zero-padded correlation may use any length >= n, but at a length with
-    a large prime factor the FFT runs about ten times slower; the desk
-    scenario correlates over n = 5847 = 3 * 1949 samples.
+    a large prime factor the FFT runs several times slower; the symbol
+    windows of the desk scenario hold n = 359 samples, a prime, and pad to
+    360; those of the reference scenario hold 1434 = 2 * 3 * 239 and pad to
+    1440.
     """
     best = 1 << (n - 1).bit_length()
     p5 = 1
@@ -109,16 +121,19 @@ def _blocks(trials: int, cfg: OfdmConfig):
         yield range(start, min(start + size, trials))
 
 
-def _correlate(rx: np.ndarray, ref: np.ndarray, max_lag: int) -> np.ndarray:
-    """Linear cross-correlation sum_n ref[n] rx[n + lag] on lags
-    [0, max_lag), shape (..., max_lag) of rx; the leading axes of ref
-    broadcast against those of rx, so one template spectrum serves a stack
-    of streams."""
-    nfft = _fft_len(rx.shape[-1] + max_lag)
-    # the product overwrites the spectrum of rx: one stack-sized array less
-    spec = np.fft.rfft(rx, nfft)
-    cross = np.multiply(np.conj(np.fft.rfft(ref, nfft)), spec, out=spec)
-    return np.fft.irfft(cross, nfft)[..., :max_lag]
+def _correlate_symbols(windows: np.ndarray, cores: np.ndarray, max_lag: int) -> np.ndarray:
+    """Sum over symbols m of the linear cross-correlations
+    sum_j cores[..., m, j] windows[..., m, j + lag] on lags [0, max_lag),
+    shape (..., max_lag) of the leading axes of windows; those of cores
+    broadcast against them, so one template spectrum serves a stack of
+    streams.  Each window must hold N + max_lag - 1 samples at least, N
+    the core length, so that no lag wraps around."""
+    nfft = _fft_len(windows.shape[-1])
+    # the product overwrites the spectrum of the windows: one stack-sized
+    # array less
+    spec = np.fft.rfft(windows, nfft)
+    cross = np.multiply(np.conj(np.fft.rfft(cores, nfft)), spec, out=spec)
+    return np.fft.irfft(cross.sum(axis=-2), nfft)[..., :max_lag]
 
 
 def _peak_delay(corr: np.ndarray, rate: float) -> np.ndarray:
@@ -171,15 +186,6 @@ def delayed_clipped_stream(
     return np.maximum(stream, 0.0, out=stream)
 
 
-def reference_stream(grid: FrequencyGrid, cfg: OfdmConfig) -> np.ndarray:
-    """Unclipped, unbiased template with cyclic-prefix regions zeroed."""
-    ts = to_time_domain(grid, cfg)
-    ref = ts.pre_clip
-    windows = ref.reshape(*ref.shape[:-1], cfg.n_symbols, ts.cp_samples + ts.n_fft)
-    windows[..., : ts.cp_samples] = 0.0
-    return ref
-
-
 @dataclass(frozen=True)
 class RmsePoint:
     snr_db: float
@@ -214,11 +220,15 @@ def rmse_vs_crb(
     chan = model.chan
     if campaign.true_tof >= cfg.guard_s:
         raise ValueError("true_tof must be below the guard duration")
-    max_lag = cfg.guard_samples
+    n, cp = cfg.n_subcarriers, cfg.guard_samples
+    size = cfg.n_symbols * (n + cp)
     norm = 2.0 * chan.reflectivity**2 * chan.gain_sq_s()
     noise_psd = [10.0 ** (snr_db / 10.0) for snr_db in campaign.snr_sweep]
     sigma_v = np.sqrt(np.array(noise_psd) * cfg.bandwidth_hz / norm)
     errors = np.empty((len(noise_psd), campaign.trials))
+    # the clean echo and the unit noise of each trial, each stream followed
+    # by cp zeros; sized by the first block, the largest
+    buf = np.zeros((2, len(next(_blocks(campaign.trials, cfg))), size + cp))
     for trials in _blocks(campaign.trials, cfg):
         rngs = [np.random.default_rng([campaign.rng_seed, 0, t]) for t in trials]
         grid = generate_frame(cfg, p_norm, rng_seed=rngs, bias=b)
@@ -227,13 +237,17 @@ def rmse_vs_crb(
             clean *= np.stack(
                 [sample_turbulence(chan.sigma_t2_s, rng, 1) for rng in rngs]
             )
-        # the clean echo and the unit noise, correlated in one call
-        streams = np.empty((2, *clean.shape))
+        padded = buf[:, : len(trials)]
+        streams = padded[..., :size]
         streams[0] = clean
         for row, rng in zip(streams[1], rngs):
             rng.standard_normal(out=row)
         streams -= streams.mean(axis=-1, keepdims=True)
-        c_clean, c_noise = _correlate(streams, reference_stream(grid, cfg), max_lag)
+        # symbol m's core and the next prefix (or the zero tail): all that
+        # its core meets at lags below cp
+        windows = padded[..., cp:].reshape(*padded.shape[:-1], cfg.n_symbols, n + cp)
+        cores = to_time_domain(grid, cfg).symbol_cores()
+        c_clean, c_noise = _correlate_symbols(windows, cores, cp)
         tau_hat = _peak_delay(c_clean + sigma_v[:, None, None] * c_noise, cfg.sample_rate)
         errors[:, trials.start : trials.stop] = 0.5 * SPEED_OF_LIGHT * (
             tau_hat - campaign.true_tof

@@ -145,6 +145,21 @@ def test_exit_4_rmse_gate(scenario_dir, tmp_path, monkeypatch, capsys):
     assert "verification FAILED: rmse_crb_ratio" in err
 
 
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+def test_verify_reports_match_golden(scenario_dir, tmp_path):
+    # the exact reports of a short desk verify: a change meant only to
+    # speed up the Monte Carlo loops must leave them byte for byte; only a
+    # deliberate change of the draws, the estimator or the gates may
+    # regenerate the files
+    assert main(["verify", "--scenario", str(scenario_dir / "desk.json"),
+                 "--out", str(tmp_path), "--trials", "40", "--seed", "401"]) == 0
+    golden = GOLDEN_DIR / "desk_verify_trials40_seed401"
+    for name in ("rmse_report.csv", "clipping_report.csv"):
+        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
+
+
 def run_cli(*argv):
     return subprocess.run([sys.executable, "-m", "fso_isac.cli", *argv], env=src_env(),
                           capture_output=True, text=True, timeout=120)

@@ -11,11 +11,10 @@ from fso_isac.config import SPEED_OF_LIGHT, OfdmConfig
 from fso_isac.monte_carlo import (
     McCampaign,
     RmseReport,
-    _correlate,
+    _correlate_symbols,
     _fft_len,
     _peak_delay,
     delayed_clipped_stream,
-    reference_stream,
     rmse_vs_crb,
     verify_clipping_model,
 )
@@ -51,11 +50,28 @@ def full_grid_stream(full, cfg):
     return np.concatenate([core[n - cp :], core]).T.reshape(-1)
 
 
+def correlate_template(rx, grid, cfg):
+    """`_correlate_symbols` of streams (..., S) against the frame's
+    template on lags [0, cp), windowed as rmse_vs_crb does: each stream
+    shifted by cp and followed by cp zeros, in symbols of N + cp samples."""
+    cp = cfg.guard_samples
+    padded = np.concatenate([rx, np.zeros((*rx.shape[:-1], cp))], axis=-1)
+    windows = padded[..., cp:].reshape(*rx.shape[:-1], cfg.n_symbols, -1)
+    return _correlate_symbols(windows, to_time_domain(grid, cfg).symbol_cores(), cp)
+
+
+def direct_correlation(rx, ref, max_lag):
+    """sum_n ref[n] rx[n + lag] on lags [0, max_lag), one np.dot per lag."""
+    size = rx.shape[-1]
+    return np.array([np.dot(ref[: size - lag], rx[lag:]) for lag in range(max_lag)])
+
+
 def oracle_rmse_errors(campaign, model, b, p):
     """Range errors of a one-trial-at-a-time loop: full mirrored grid,
-    complex IDFT, 1-D correlation and peak search; draws frame, turbulence,
-    noise.  Every SNR point redraws trial t from the key (seed, 0, t) and
-    builds its own rx = clean + sigma_v noise, mean removed as a whole."""
+    complex IDFT, per-lag dot-product correlation and peak search; draws
+    frame, turbulence, noise.  Every SNR point redraws trial t from the key
+    (seed, 0, t) and builds its own rx = clean + sigma_v noise, mean
+    removed as a whole."""
     cfg, chan = model.cfg, model.chan
     n, cp, rs = cfg.n_subcarriers, cfg.guard_samples, cfg.sample_rate
     norm = 2.0 * chan.reflectivity**2 * chan.gain_sq_s()
@@ -77,7 +93,7 @@ def oracle_rmse_errors(campaign, model, b, p):
             rx -= rx.mean()
             ref = full_grid_stream(full, cfg).reshape(cfg.n_symbols, -1)
             ref[:, :cp] = 0.0
-            tau = float(_peak_delay(_correlate(rx, ref.reshape(-1), cp), rs))
+            tau = float(_peak_delay(direct_correlation(rx, ref.reshape(-1), cp), rs))
             errors.append(0.5 * SPEED_OF_LIGHT * (tau - campaign.true_tof))
         out.append(np.array(errors))
     return out
@@ -149,15 +165,15 @@ def oracle_clipping_rows(cfg, b, p, trials, seed):
 
 
 class TestEstimateTof:
-    """The estimator of rmse_vs_crb: `_correlate` against the template,
-    then `_peak_delay` (argmax plus parabolic refinement)."""
+    """The estimator of rmse_vs_crb: `_correlate_symbols` against the
+    template's symbol cores, then `_peak_delay` (argmax plus parabolic
+    refinement)."""
 
     def test_exact_integer_lag(self, small_cfg):
         p = uniform_allocation(small_cfg)
         grid = generate_frame(small_cfg, p, rng_seed=1, bias=0.2)
         rx = delayed_clipped_stream(grid, small_cfg, 0.2, 9.0 / small_cfg.sample_rate)
-        corr = _correlate(rx - rx.mean(), reference_stream(grid, small_cfg),
-                          small_cfg.guard_samples)
+        corr = correlate_template(rx - rx.mean(), grid, small_cfg)
         assert np.argmax(corr) == 9
 
     def test_fractional_against_fine_grid_oracle(self, desk_cfg):
@@ -169,8 +185,7 @@ class TestEstimateTof:
         tof = (30 + 0.37) / rs
         rx = delayed_clipped_stream(grid, desk_cfg, 0.15, tof)
         rx = rx - rx.mean()
-        ref = reference_stream(grid, desk_cfg)
-        tau = _peak_delay(_correlate(rx, ref, desk_cfg.guard_samples), rs)
+        tau = _peak_delay(correlate_template(rx, grid, desk_cfg), rs)
 
         fine = np.arange(29.5, 31.5, 0.01) / rs
         scores = []
@@ -186,20 +201,31 @@ class TestEstimateTof:
         # no-signal limit: estimates scatter over the whole search window
         p = uniform_allocation(small_cfg)
         grid = generate_frame(small_cfg, p, rng_seed=3, bias=0.0)
-        ref = reference_stream(grid, small_cfg)
-        rx = np.random.default_rng(0).standard_normal((200, ref.size))
-        lags = np.argmax(_correlate(rx, ref, small_cfg.guard_samples), axis=-1)
+        size = small_cfg.n_symbols * (small_cfg.n_subcarriers + small_cfg.guard_samples)
+        rx = np.random.default_rng(0).standard_normal((200, size))
+        lags = np.argmax(correlate_template(rx, grid, small_cfg), axis=-1)
         assert lags.std() > 0.2 * small_cfg.guard_samples
         assert lags.min() < 5 and lags.max() > small_cfg.guard_samples - 5
 
     def test_fft_equals_direct_correlation(self):
+        # the symbol-wise correlation equals the stream correlation against
+        # the template with prefixes zeroed; at every lag above 0 the last
+        # core runs into the zero tail after the stream, by cp - 1 samples
+        # at the top lag
         rng = np.random.default_rng(7)
-        # 5744 + 103 = 5847 = 3 * 1949, the desk length, pads to 6000
-        for size, max_lag in ((64, 16), (5744, 103)):
+        for n_symbols, n, cp in (
+            (8, 64, 26),  # small_cfg
+            (16, 256, 103),  # desk: windows of 359 samples pad to 360
+            (64, 1024, 410),  # reference: 1434 pads to 1440
+            (5, 16, 40),  # prefix longer than the core
+        ):
+            size = n_symbols * (n + cp)
             rx = rng.standard_normal(size)
-            ref = rng.standard_normal(size)
-            direct = [float(np.dot(ref[: size - lag], rx[lag:])) for lag in range(max_lag)]
-            corr = _correlate(rx, ref, max_lag)
+            ref = rng.standard_normal((n_symbols, n + cp))
+            ref[:, :cp] = 0.0
+            direct = direct_correlation(rx, ref.reshape(-1), cp)
+            windows = np.concatenate([rx, np.zeros(cp)])[cp:].reshape(n_symbols, n + cp)
+            corr = _correlate_symbols(windows, ref[:, cp:], cp)
             assert_allclose(corr, direct, rtol=0, atol=1e-12 * size)
             assert np.argmax(corr) == np.argmax(direct)
 
@@ -215,19 +241,23 @@ class TestEstimateTof:
         assert [_fft_len(int(n)) for n in ns] == expected.tolist()
 
     def test_stacked_rows_match_single(self):
-        # a (T, S) stack correlates and estimates each row bit for bit as a
-        # 1-D call
+        # a (2, T, M, W) stack of windows against (T, M, N) cores, as
+        # rmse_vs_crb stacks the clean and noise streams of a block,
+        # correlates and estimates each row bit for bit as a single call
         rng = np.random.default_rng(8)
-        ref = rng.standard_normal((5, 700))
-        rx = np.roll(ref, 9, axis=-1) + 0.5 * rng.standard_normal((5, 700))
-        corr = _correlate(rx, ref, 40)
-        assert corr.shape == (5, 40)
-        single = [_correlate(a, r, 40) for a, r in zip(rx, ref)]
+        cores = rng.standard_normal((5, 4, 20))
+        windows = rng.standard_normal((2, 5, 4, 59))
+        windows[..., 9:29] += cores
+        corr = _correlate_symbols(windows, cores, 40)
+        assert corr.shape == (2, 5, 40)
+        single = [[_correlate_symbols(w, c, 40) for w, c in zip(ws, cores)]
+                  for ws in windows]
         assert_array_equal(corr, single)
-        assert_array_equal(np.argmax(corr, axis=-1), [np.argmax(c) for c in single])
+        assert_array_equal(np.argmax(corr, axis=-1), np.argmax(single, axis=-1))
+        assert np.all(np.argmax(corr, axis=-1) == 9)
         taus = _peak_delay(corr, 2.0)
-        assert taus.shape == (5,)
-        assert_array_equal(taus, [_peak_delay(c, 2.0) for c in single])
+        assert taus.shape == (2, 5)
+        assert_array_equal(taus, [[_peak_delay(c, 2.0) for c in row] for row in single])
 
 
 class TestDelayedStream:
