@@ -160,6 +160,34 @@ def test_verify_reports_match_golden(scenario_dir, tmp_path):
         assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
 
 
+GOLDEN_RUNS = {
+    # golden directory: (scenario, extra arguments, files compared)
+    "desk_solve": ("desk", ["solve"], ("solution.json", "allocation.csv")),
+    "reference_solve": ("reference", ["solve"], ("solution.json", "allocation.csv")),
+    "desk_sweep_precision_cm": (
+        "desk", ["sweep", "--param", "precision_cm",
+                 "--values", "10.1,10.2,10.5,11,12,13.5,14.5,16"], ("sweep.csv",)),
+    "desk_sweep_C0_bpshz": (
+        "desk", ["sweep", "--param", "C0_bpshz",
+                 "--values", "0.1,0.3,0.4,0.5,0.6,0.7,0.8"], ("sweep.csv",)),
+    "reference_verify_trials8": (
+        "reference", ["verify", "--trials", "8"], ("rmse_report.csv", "clipping_report.csv")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_outputs_match_golden(scenario_dir, tmp_path, name):
+    # solve, sweep and verify outputs byte for byte: a change that should
+    # keep the numbers must leave these files as they are; one that moves
+    # a digit regenerates them and names the digits that moved
+    scenario, argv, files = GOLDEN_RUNS[name]
+    command, *options = argv
+    assert main([command, "--scenario", str(scenario_dir / f"{scenario}.json"),
+                 "--out", str(tmp_path), *options]) == 0
+    for file in files:
+        assert (tmp_path / file).read_bytes() == (GOLDEN_DIR / name / file).read_bytes(), file
+
+
 def run_cli(*argv):
     return subprocess.run([sys.executable, "-m", "fso_isac.cli", *argv], env=src_env(),
                           capture_output=True, text=True, timeout=120)
