@@ -1,17 +1,24 @@
 """Joint DC-bias and subcarrier power-allocation solvers.
 
-Two problems share one structure: maximize one metric subject to a floor on
-the other, a per-subcarrier cap, and a total-power budget.  A block
-coordinate descent alternates a golden-section search over the DC bias
-(clipping statistics recomputed at every candidate) with a convex
-subcarrier sub-problem solved in closed form from its KKT conditions.  The
-sub-problem splits into cases: unconstrained water-filling (A) or sensing
-LP (D), the feasibility probe (B/E), and the coupled case (C/F) with two
-dual variables: for each floor dual eta a root-find on the budget level
-mu(eta) spends the power to within POWER_SUM_TOL, and a root-find on eta
-meets the floor.  Both levels use one bracketed root-finder that returns
-the feasible end of its final bracket, so the budget and the floor hold by
-construction.
+P1 (mode "comm") maximizes spectral efficiency under a floor on the delay
+Fisher information; P2 (mode "sense") maximizes the Fisher information
+under a spectral-efficiency floor.  Both also have a per-subcarrier cap and
+a total-power budget, and one solver serves both: the mode only picks which
+metric is floored (`_floored`) and which KKT rule spends the power.  A
+block coordinate descent alternates a golden-section search over the DC
+bias (clipping statistics recomputed at every candidate) with a convex
+subcarrier sub-problem solved in closed form from its KKT conditions.
+
+The sub-problem (`_subcarrier_step`) splits into cases.  The uncoupled
+optimum, water-filling for P1 (case A) or the sensing LP for P2 (D), is
+kept if it meets the floor.  Otherwise the other one is the feasibility
+probe (B/E): if even it misses the floor, no allocation meets it.  What is
+left is the coupled case (C/F) with two dual variables: for each floor
+dual eta a root-find on the budget level mu(eta) spends the power to
+within POWER_SUM_TOL, and a root-find on eta (`_coupled`) meets the floor.
+Both levels use one bracketed root-finder that returns the feasible end of
+its final bracket with the allocation evaluated there, so the returned
+allocation meets the budget and the floor by construction.
 
 Internally the capacity constraint is handled in nats so the KKT allocation
 rules keep their clean algebraic form; reported spectral efficiencies are
@@ -83,12 +90,10 @@ class DualTrace:
 
 @dataclass
 class SolveTrace:
-    """Per-outer-iteration record of the BCD loop."""
+    """Per-outer-iteration record of the BCD loop: the bias and the dual
+    trace (None outside the coupled case) of each step."""
 
-    objective: list = field(default_factory=list)
     bias: list = field(default_factory=list)
-    cases: list = field(default_factory=list)
-    constraint: list = field(default_factory=list)
     dual_traces: list = field(default_factory=list)
     flags: list = field(default_factory=list)
 
@@ -228,23 +233,11 @@ def _fill(mu, scale, shift, gamma_c, p_max):
     shift = k^2 g_s is the psi_0 (sense) rule.  The level floor caps p at
     p_max, and a level at or above scale g_c gives p = 0.
     """
+    if scale <= 0:
+        raise ValueError("the rule needs scale > 0; the eta = 0 limit of psi_0 is the sensing LP")
     inv_gc = 1.0 / gamma_c
     level = np.maximum(mu - shift, scale / (p_max + inv_gc))
     return np.clip(scale / level - inv_gc, 0.0, p_max)
-
-
-def _comm_allocation(gamma_c, gamma_s, mu, eta, p_max):
-    """xi_0 rule: p = {1/max(mu - eta k^2 g_s, 1/(p_max + 1/g_c)) - 1/g_c}^+."""
-    k2gs = _subcarrier_weights(gamma_s.size) * gamma_s
-    return _fill(mu, 1.0, eta * k2gs, gamma_c, p_max)
-
-
-def _sense_allocation(gamma_c, gamma_s, mu, eta, p_max):
-    """psi_0 rule: p = {1/max((mu - k^2 g_s)/eta, 1/(p_max + 1/g_c)) - 1/g_c}^+."""
-    if eta <= 0:
-        raise ValueError("psi_0 rule needs eta > 0; the eta = 0 limit is the sensing LP")
-    k2gs = _subcarrier_weights(gamma_s.size) * gamma_s
-    return _fill(mu, eta, k2gs, gamma_c, p_max)
 
 
 def _feasible_root(f, lo, f_lo, hi, f_hi, at_hi, tol):
@@ -255,15 +248,21 @@ def _feasible_root(f, lo, f_lo, hi, f_hi, at_hi, tol):
     f(lo) < 0 <= f(hi), until f(hi) <= tol or no float is left inside the
     bracket.  Returns (hi, payload at hi).
     """
-    slack, side = f_hi, None
+    slack, side, flat = f_hi, None, False
     while slack > tol:
-        # a secant point rounded onto an end means the root is within a
-        # float or two of it: step one float inside the bracket instead
-        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        x = min(max(x, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+        if flat:
+            # the last point repeated f(lo) exactly: lo sits on a flat
+            # stretch of f, up which secant steps from lo would creep
+            x = 0.5 * (lo + hi)
+        else:
+            # a secant point rounded onto an end means the root is within
+            # a float or two of it: step one float inside the bracket instead
+            x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+            x = min(max(x, math.nextafter(lo, hi)), math.nextafter(hi, lo))
         if not lo < x < hi:
             break
         fx, at_x = f(x)
+        flat = fx == f_lo
         # Anderson-Bjorck: an end kept twice in a row has its value scaled
         # down, so the next secant point lands on its side
         if fx >= 0.0:
@@ -350,137 +349,103 @@ def sensing_lp(gamma_s: np.ndarray, p_max: float) -> np.ndarray:
     return p
 
 
-def _traced(solve_at, trace):
-    """Wrap solve_at(eta) -> (S - target, mu) so each call is one recorded,
-    capped outer evaluation."""
+def _floored(comm, gamma_c, k2gs, p):
+    """The floored metric of an allocation: the information sum k^2 g_s p
+    for comm, the capacity sum ln(1 + g_c p) in nats for sense."""
+    if comm:
+        return float(np.sum(k2gs * p))
+    return float(np.sum(np.log1p(gamma_c * p)))
 
-    def evaluate(eta):
+
+def _coupled(comm, gamma_c, k2gs, floor, p_max, s0, eta, trace):
+    """Smallest floor dual eta at which the budget-level allocation meets the floor.
+
+    For each eta the budget level mu(eta) spends the power exactly; the
+    floored metric S(eta) of its allocation does not decrease with eta.
+    s0 = S(0) < floor is that of the uncoupled allocation (water-filling for
+    comm, the sensing LP for sense), the lower bracket end.  The upper end
+    doubles from the first guess eta until it meets the floor;
+    `_feasible_root` then shrinks the bracket until S(hi) is within
+    FLOOR_SLACK of the floor.  Every evaluation is recorded in `trace`, and
+    DualIterationError is raised once it holds MAX_DUAL_ITER.  Returns
+    (duals, trace, p) at the feasible end hi, where p is the allocation
+    `_budget_level` evaluated, so it meets the floor with >= at the given SNRs.
+    """
+    if s0 >= floor:
+        raise ValueError("the uncoupled allocation meets the floor: not the coupled case")
+
+    def excess(eta):
         if len(trace.eta) >= MAX_DUAL_ITER or not math.isfinite(eta):
             raise DualIterationError(
                 f"dual root-find exceeded {MAX_DUAL_ITER} eta evaluations", trace=trace
             )
-        excess, mu = solve_at(eta)
+        # xi_0 rule: scale 1, shift eta k^2 g_s; psi_0 rule: scale eta, shift k^2 g_s
+        scale, shift = (1.0, eta * k2gs) if comm else (eta, k2gs)
+        mu, p = _budget_level(scale, shift, gamma_c, p_max)
         trace.mu.append(mu)
         trace.eta.append(eta)
-        return excess, mu
+        return _floored(comm, gamma_c, k2gs, p) - floor, (mu, p)
 
-    return evaluate
-
-
-def _raise_to_floor(excess, f0, eta, target):
-    """Smallest eta with S(eta) >= target, for non-decreasing S with f0 = S(0) - target < 0.
-
-    excess(eta) returns (S(eta) - target, mu(eta)).  The upper end doubles
-    from the given eta until it meets the floor; `_feasible_root` then
-    shrinks the bracket until S(hi) is within FLOOR_SLACK of the target.
-    Returns (eta, mu) at the feasible end hi.
-    """
-    lo, f_lo = 0.0, f0
-    f, mu = excess(eta)
+    lo, f_lo = 0.0, s0 - floor
+    f, at = excess(eta)
     while f < 0.0:
         lo, f_lo = eta, f
         eta *= 2.0
-        f, mu = excess(eta)
-    return _feasible_root(excess, lo, f_lo, eta, f, mu, FLOOR_SLACK * target)
+        f, at = excess(eta)
+    eta, (mu, p) = _feasible_root(excess, lo, f_lo, eta, f, at, FLOOR_SLACK * floor)
+    return DualVariables(mu=mu, eta=eta), trace, p
 
 
-def dual_iterate_comm(
-    gamma_c: np.ndarray,
-    gamma_s: np.ndarray,
-    target_info: float,
-    p_max: float,
-    mu0: float,
-):
-    """Duals (mu, eta) of the coupled comm case, feasible by construction.
+def dual_iterate_comm(gamma_c, k2gs, target_info, p_max, s0, mu0):
+    """Coupled comm case C: `_coupled` with the xi_0 rule.
 
-    For each eta the budget level mu(eta) spends the power exactly; the
-    sensing information S(eta) = sum k^2 g_s p(mu(eta), eta) does not
-    decrease with eta, so a bracketed root-find on eta from eta = 0 meets
-    the floor.  mu0 is the eta = 0 level, as `waterfill_comm` returns it;
-    it is the first entry of the trace.  The returned pair is the feasible
-    end of the final bracket: its xi_0 allocation meets the floor with >=
-    at the given SNRs.
+    s0 is the information of the water-filling allocation and mu0 its
+    level, as `waterfill_comm` returns it; (mu0, 0) is the first entry of
+    the trace.  Returns (duals, trace, p).
     """
-    gamma_c = np.asarray(gamma_c, dtype=float)
-    gamma_s = np.asarray(gamma_s, dtype=float)
-    k2gs = _subcarrier_weights(gamma_s.size) * gamma_s
-    if np.min(k2gs) <= 0:
-        raise ValueError("gamma_s must be strictly positive in the coupled case")
-
-    def info_excess(eta):
-        mu, p = _budget_level(1.0, eta * k2gs, gamma_c, p_max)
-        return float(np.sum(k2gs * p)) - target_info, mu
-
-    trace = DualTrace(mu=[mu0], eta=[0.0])
-    s0 = float(np.sum(k2gs * _comm_allocation(gamma_c, gamma_s, mu0, 0.0, p_max)))
-    if s0 >= target_info:
-        return DualVariables(mu=mu0, eta=0.0), trace
     # first guess: eta k^2 g_s reaches the eta = 0 level on the best sensing bin
-    eta, mu = _raise_to_floor(_traced(info_excess, trace), s0 - target_info,
-                              mu0 / float(np.max(k2gs)), target_info)
-    return DualVariables(mu=mu, eta=eta), trace
+    return _coupled(True, gamma_c, k2gs, target_info, p_max, s0,
+                    mu0 / float(np.max(k2gs)), DualTrace(mu=[mu0], eta=[0.0]))
 
 
-def dual_iterate_sense(
-    gamma_c: np.ndarray,
-    gamma_s: np.ndarray,
-    target_cap_nats: float,
-    p_max: float,
-    p_lp: np.ndarray,
-):
-    """Duals (mu, eta) of the coupled sensing case, feasible by construction.
+def dual_iterate_sense(gamma_c, k2gs, target_cap_nats, p_max, s0):
+    """Coupled sensing case F: `_coupled` with the psi_0 rule.
 
-    Mirrors the comm version with the psi_0 rule: the capacity
-    sum ln(1 + g_c p(mu(eta), eta)) does not decrease with eta and tends to
-    that of the sensing LP p_lp, as `sensing_lp` returns it, as eta -> 0;
-    that limit is the lower bracket end.
+    s0 is the capacity of the sensing LP, the eta -> 0 limit of the rule.
+    Returns (duals, trace, p).
     """
-    gamma_c = np.asarray(gamma_c, dtype=float)
-    gamma_s = np.asarray(gamma_s, dtype=float)
-    k2gs = _subcarrier_weights(gamma_s.size) * gamma_s
-    s0 = float(np.sum(np.log1p(gamma_c * p_lp)))
-    if s0 >= target_cap_nats:
-        raise ValueError("the sensing LP meets the capacity floor: not the coupled case")
-
-    def capacity_excess(eta):
-        mu, p = _budget_level(eta, k2gs, gamma_c, p_max)
-        return float(np.sum(np.log1p(gamma_c * p))) - target_cap_nats, mu
-
-    trace = DualTrace()
     # psi_0 levels (mu - k^2 g_s) / eta sit on the scale of g_c
-    eta, mu = _raise_to_floor(_traced(capacity_excess, trace), s0 - target_cap_nats,
-                              float(np.max(k2gs) / np.max(gamma_c)), target_cap_nats)
-    return DualVariables(mu=mu, eta=eta), trace
+    return _coupled(False, gamma_c, k2gs, target_cap_nats, p_max, s0,
+                    float(np.max(k2gs) / np.max(gamma_c)), DualTrace())
 
 
-def _subcarrier_step_comm(gamma_c, gamma_s, info_floor, p_max):
-    """Case analysis A -> B -> C for the comm-centric sub-problem."""
+def _subcarrier_step(comm, gamma_c, gamma_s, floor, p_max):
+    """Case analysis A -> B -> C (comm) or D -> E -> F (sense) at frozen SNRs.
+
+    The uncoupled allocation is water-filling for comm and the sensing LP
+    for sense; the other one is the feasibility probe, computed only when
+    the first misses the floor.  Returns (p, case, duals, dual trace).
+    """
     k2gs = _subcarrier_weights(gamma_s.size) * gamma_s
-    p_wf, mu = waterfill_comm(gamma_c, p_max)
-    if float(np.sum(k2gs * p_wf)) >= info_floor:
-        return p_wf, CASE_A, DualVariables(mu=mu, eta=0.0), None
-    p_lp = sensing_lp(gamma_s, p_max)
-    if float(np.sum(k2gs * p_lp)) < info_floor:
+    if comm:
+        p, mu0 = waterfill_comm(gamma_c, p_max)
+    else:
+        p = sensing_lp(gamma_s, p_max)
+    s0 = _floored(comm, gamma_c, k2gs, p)
+    if s0 >= floor:
+        if comm:
+            return p, CASE_A, DualVariables(mu=mu0, eta=0.0), None
+        return p, CASE_D, None, None
+    probe = sensing_lp(gamma_s, p_max) if comm else waterfill_comm(gamma_c, p_max)[0]
+    if _floored(comm, gamma_c, k2gs, probe) < floor:
         raise InfeasibleProblem(
-            "sensing floor exceeds the best achievable information"
+            "sensing floor exceeds the best achievable information" if comm
+            else "capacity floor exceeds the water-filling capacity"
         )
-    duals, dtrace = dual_iterate_comm(gamma_c, gamma_s, info_floor, p_max, mu)
-    p = _comm_allocation(gamma_c, gamma_s, duals.mu, duals.eta, p_max)
-    return p, CASE_C, duals, dtrace
-
-
-def _subcarrier_step_sense(gamma_c, gamma_s, cap_floor_nats, p_max):
-    """Case analysis D -> E -> F for the sensing-centric sub-problem."""
-    p_lp = sensing_lp(gamma_s, p_max)
-    if float(np.sum(np.log1p(gamma_c * p_lp))) >= cap_floor_nats:
-        return p_lp, CASE_D, None, None
-    p_wf, _ = waterfill_comm(gamma_c, p_max)
-    if float(np.sum(np.log1p(gamma_c * p_wf))) < cap_floor_nats:
-        raise InfeasibleProblem(
-            "capacity floor exceeds the water-filling capacity"
-        )
-    duals, dtrace = dual_iterate_sense(gamma_c, gamma_s, cap_floor_nats, p_max, p_lp)
-    p = _sense_allocation(gamma_c, gamma_s, duals.mu, duals.eta, p_max)
+    if comm:
+        duals, dtrace, p = dual_iterate_comm(gamma_c, k2gs, floor, p_max, s0, mu0)
+        return p, CASE_C, duals, dtrace
+    duals, dtrace, p = dual_iterate_sense(gamma_c, k2gs, floor, p_max, s0)
     return p, CASE_F, duals, dtrace
 
 
@@ -490,13 +455,6 @@ def _solve_bcd(spec: ProblemSpec, model: SystemModel) -> AllocationSolution:
     comm = spec.mode == MODE_COMM
     objective = "capacity" if comm else "fisher"
     floor = spec.info_threshold(cfg) if comm else spec.capacity_threshold_nats(cfg)
-    k2 = _subcarrier_weights(cfg.n_data_subcarriers)
-
-    def constraint_of(snr, p):
-        if comm:
-            return float(np.sum(k2 * snr.gamma_s * p))
-        return float(np.sum(np.log1p(snr.gamma_c * p)))
-
     p = np.full(cfg.n_data_subcarriers, 0.5 / cfg.n_data_subcarriers)
     trace = SolveTrace()
     obj_prev = None
@@ -510,14 +468,9 @@ def _solve_bcd(spec: ProblemSpec, model: SystemModel) -> AllocationSolution:
         b, bias_info = solve_bias(objective, p, model)
         snr = model.snr(b, p)  # frozen through the subcarrier step
         try:
-            if comm:
-                p_new, case, duals, dtrace = _subcarrier_step_comm(
-                    snr.gamma_c, snr.gamma_s, floor, spec.p_max
-                )
-            else:
-                p_new, case, duals, dtrace = _subcarrier_step_sense(
-                    snr.gamma_c, snr.gamma_s, floor, spec.p_max
-                )
+            p_new, case, duals, dtrace = _subcarrier_step(
+                comm, snr.gamma_c, snr.gamma_s, floor, spec.p_max
+            )
         except InfeasibleProblem as e:
             if i == 0:
                 raise
@@ -525,7 +478,8 @@ def _solve_bcd(spec: ProblemSpec, model: SystemModel) -> AllocationSolution:
             # met it at the SNRs frozen for its step; keep it only if it also
             # meets it at its own SNRs.
             b = trace.bias[-1]
-            held = constraint_of(model.snr(b, p), p)
+            own = model.snr(b, p)
+            held = _floored(comm, own.gamma_c, _subcarrier_weights(p.size) * own.gamma_s, p)
             if held < floor * (1.0 - DUAL_RESIDUAL_TOL):
                 raise InfeasibleProblem(
                     f"floor unreachable at BCD step {i}, and the last iterate "
@@ -534,11 +488,7 @@ def _solve_bcd(spec: ProblemSpec, model: SystemModel) -> AllocationSolution:
             trace.flags.append("reverted_infeasible")
             break
         obj = (spectral_efficiency if comm else fisher_information)(snr, p_new, cfg)
-        constraint = constraint_of(snr, p_new)
-        trace.objective.append(obj)
         trace.bias.append(b)
-        trace.cases.append(case)
-        trace.constraint.append(constraint)
         trace.dual_traces.append(dtrace)
         if bias_info["grid_fallback"]:
             trace.flags.append(f"bias_grid_fallback@{i}")

@@ -55,17 +55,18 @@ class LinkParams:
 
 @dataclass(frozen=True)
 class ChannelState:
-    """Stationary gains, turbulence and noise for both paths.
+    """Stationary gains and noise for both paths, and the sensing path's turbulence.
 
     h_bar_* are the mean gains (unit-mean turbulence folded out); both
     paths are line of sight, with a flat response over the subcarriers.
+    The comm SNR uses E(h_c)^2 alone, so only the round-trip sensing path
+    carries a scintillation index, sigma_t2_s, for the Monte Carlo fades.
     Carries the noise PSDs and reflectivity so downstream SNR evaluation
     needs no extra plumbing.
     """
 
     h_bar_c: float
     h_bar_s: float
-    sigma_t2_c: float
     sigma_t2_s: float
     noise_psd_c: float
     noise_psd_s: float
@@ -74,8 +75,8 @@ class ChannelState:
     def __post_init__(self):
         if self.h_bar_c <= 0 or self.h_bar_s <= 0:
             raise ValueError("stationary gains must be positive")
-        if self.sigma_t2_c < 0 or self.sigma_t2_s < 0:
-            raise ValueError("scintillation indices must be non-negative")
+        if self.sigma_t2_s < 0:
+            raise ValueError("the scintillation index must be non-negative")
 
     def gain_sq_c(self) -> float:
         """Gain term E(h_c)^2 of the comm-path SNR."""
@@ -161,7 +162,6 @@ def stationary_gains(
     return ChannelState(
         h_bar_c=h_c,
         h_bar_s=h_s,
-        sigma_t2_c=scintillation_index(link_c),
         sigma_t2_s=scintillation_index(link_s, path_m=2.0 * link_s.path_m),
         noise_psd_c=link_c.noise_psd,
         noise_psd_s=link_s.noise_psd,

@@ -13,10 +13,8 @@ from fso_isac.allocator import (
     InfeasibleProblem,
     ProblemSpec,
     _budget_level,
-    _comm_allocation,
-    _sense_allocation,
-    _subcarrier_step_comm,
-    _subcarrier_step_sense,
+    _fill,
+    _subcarrier_step,
     _subcarrier_weights,
     dual_iterate_comm,
     dual_iterate_sense,
@@ -67,14 +65,19 @@ ORACLE_ETA_F = 10.938362133998115
 
 
 def comm_duals(gamma_c, gamma_s, target, p_max):
-    """dual_iterate_comm from the eta = 0 water-filling level, as the BCD step calls it."""
-    _, mu0 = waterfill_comm(gamma_c, p_max)
-    return dual_iterate_comm(gamma_c, gamma_s, target, p_max, mu0)
+    """dual_iterate_comm from the water-filling allocation and its level, as
+    the BCD step calls it."""
+    k2gs = _subcarrier_weights(gamma_s.size) * gamma_s
+    p_wf, mu0 = waterfill_comm(gamma_c, p_max)
+    return dual_iterate_comm(gamma_c, k2gs, target, p_max, float(np.sum(k2gs * p_wf)), mu0)
 
 
 def sense_duals(gamma_c, gamma_s, target, p_max):
     """dual_iterate_sense from the sensing LP, as the BCD step calls it."""
-    return dual_iterate_sense(gamma_c, gamma_s, target, p_max, sensing_lp(gamma_s, p_max))
+    k2gs = _subcarrier_weights(gamma_s.size) * gamma_s
+    p_lp = sensing_lp(gamma_s, p_max)
+    return dual_iterate_sense(gamma_c, k2gs, target, p_max,
+                              float(np.sum(np.log1p(gamma_c * p_lp))))
 
 
 class TestGoldenSection:
@@ -273,16 +276,15 @@ class TestDualIterateComm:
         assert mu == pytest.approx(ORACLE_MU_A, rel=1e-5)
 
     def test_oracle_fixture_case_c(self):
-        duals, trace = comm_duals(
+        duals, trace, p = comm_duals(
             N16_GAMMA_C, N16_GAMMA_S, N16_INFO_TARGET, N16_P_MAX
         )
-        p = _comm_allocation(N16_GAMMA_C, N16_GAMMA_S, duals.mu, duals.eta, N16_P_MAX)
         assert np.max(np.abs(p - ORACLE_P_C)) < 1e-5
         assert duals.mu == pytest.approx(ORACLE_MU_C, rel=1e-5)
         assert duals.eta == pytest.approx(ORACLE_ETA_C, rel=1e-5)
 
     def test_lemma2_region(self):
-        duals, trace = comm_duals(
+        duals, trace, _ = comm_duals(
             N16_GAMMA_C, N16_GAMMA_S, N16_INFO_TARGET, N16_P_MAX
         )
         k2gs = _subcarrier_weights(7) * N16_GAMMA_S
@@ -293,19 +295,17 @@ class TestDualIterateComm:
 
 class TestDualIterateSense:
     def test_oracle_fixture_case_f(self):
-        duals, trace = sense_duals(
+        duals, trace, p = sense_duals(
             N16_GAMMA_C, N16_GAMMA_S, N16_CAP_TARGET_NATS, N16_P_MAX
         )
-        p = _sense_allocation(N16_GAMMA_C, N16_GAMMA_S, duals.mu, duals.eta, N16_P_MAX)
         assert np.max(np.abs(p - ORACLE_P_F)) < 1e-5
         assert duals.mu == pytest.approx(ORACLE_MU_F, rel=1e-5)
         assert duals.eta == pytest.approx(ORACLE_ETA_F, rel=1e-5)
 
     def test_defining_equations(self):
-        duals, _ = sense_duals(
+        duals, _, p = sense_duals(
             N16_GAMMA_C, N16_GAMMA_S, N16_CAP_TARGET_NATS, N16_P_MAX
         )
-        p = _sense_allocation(N16_GAMMA_C, N16_GAMMA_S, duals.mu, duals.eta, N16_P_MAX)
         assert abs(p.sum() - 0.5) / 0.5 < 1e-8
         cap = float(np.sum(np.log1p(N16_GAMMA_C * p)))
         assert abs(cap - N16_CAP_TARGET_NATS) / N16_CAP_TARGET_NATS < 1e-8
@@ -313,10 +313,12 @@ class TestDualIterateSense:
 
 N16_K2GS = _subcarrier_weights(7) * N16_GAMMA_S
 N16_DUALS = {
-    # dual solver, its allocation rule, the floored metric, the floor
-    "comm": (comm_duals, _comm_allocation,
+    # dual solver, its allocation rule p(mu, eta), the floored metric, the floor
+    "comm": (comm_duals,
+             lambda mu, eta: _fill(mu, 1.0, eta * N16_K2GS, N16_GAMMA_C, N16_P_MAX),
              lambda p: float(np.sum(N16_K2GS * p)), N16_INFO_TARGET),
-    "sense": (sense_duals, _sense_allocation,
+    "sense": (sense_duals,
+              lambda mu, eta: _fill(mu, eta, N16_K2GS, N16_GAMMA_C, N16_P_MAX),
               lambda p: float(np.sum(np.log1p(N16_GAMMA_C * p))), N16_CAP_TARGET_NATS),
 }
 
@@ -325,15 +327,13 @@ N16_DUALS = {
 class TestCoupledDuals:
     def test_feasible_by_construction(self, mode):
         solve, rule, metric, target = N16_DUALS[mode]
-        duals, trace = solve(N16_GAMMA_C, N16_GAMMA_S, target, N16_P_MAX)
-        p = rule(N16_GAMMA_C, N16_GAMMA_S, duals.mu, duals.eta, N16_P_MAX)
+        duals, trace, p = solve(N16_GAMMA_C, N16_GAMMA_S, target, N16_P_MAX)
         assert abs(p.sum() - 0.5) <= 1e-12
         assert metric(p) >= target
         assert metric(p) <= target * (1 + 1e-8)
         # the floored metric does not decrease with eta over the evaluations
         order = np.argsort(trace.eta, kind="stable")
-        s = [metric(rule(N16_GAMMA_C, N16_GAMMA_S, trace.mu[j], trace.eta[j], N16_P_MAX))
-             for j in order]
+        s = [metric(rule(trace.mu[j], trace.eta[j])) for j in order]
         assert np.all(np.diff(s) >= 0)
         assert (duals.mu, duals.eta) in zip(trace.mu, trace.eta)
 
@@ -353,9 +353,8 @@ class TestCoupledDuals:
                 calls[_name] += 1
                 return _real(*args)
             monkeypatch.setattr(allocator, name, counted)
-        step = {"comm": allocator._subcarrier_step_comm,
-                "sense": allocator._subcarrier_step_sense}[mode]
-        _, case, _, trace = step(N16_GAMMA_C, N16_GAMMA_S, N16_DUALS[mode][3], N16_P_MAX)
+        _, case, _, trace = allocator._subcarrier_step(
+            mode == "comm", N16_GAMMA_C, N16_GAMMA_S, N16_DUALS[mode][3], N16_P_MAX)
         assert case == {"comm": CASE_C, "sense": CASE_F}[mode]
         # comm: the eta = 0 level is the trace's first entry; sense: one
         # water-filling tells case F from the infeasible case E
@@ -371,16 +370,27 @@ class TestFloorJustAboveUncoupled:
     def test_comm_case_c(self):
         p_wf, _ = waterfill_comm(N16_GAMMA_C, N16_P_MAX)
         floor = float(np.sum(N16_K2GS * p_wf)) * (1.0 + 1e-13)
-        p, case, _, _ = _subcarrier_step_comm(N16_GAMMA_C, N16_GAMMA_S, floor, N16_P_MAX)
+        p, case, _, _ = _subcarrier_step(True, N16_GAMMA_C, N16_GAMMA_S, floor, N16_P_MAX)
         assert case == CASE_C
         assert float(np.sum(N16_K2GS * p)) >= floor
 
-    def test_sense_case_f(self):
+    @staticmethod
+    def _sense_floor():
         p_lp = sensing_lp(N16_GAMMA_S, N16_P_MAX)
-        floor = float(np.sum(np.log1p(N16_GAMMA_C * p_lp))) * (1.0 + 1e-13)
-        p, case, _, _ = _subcarrier_step_sense(N16_GAMMA_C, N16_GAMMA_S, floor, N16_P_MAX)
+        return float(np.sum(np.log1p(N16_GAMMA_C * p_lp))) * (1.0 + 1e-13)
+
+    def test_sense_case_f(self):
+        floor = self._sense_floor()
+        p, case, _, _ = _subcarrier_step(False, N16_GAMMA_C, N16_GAMMA_S, floor, N16_P_MAX)
         assert case == CASE_F
         assert float(np.sum(np.log1p(N16_GAMMA_C * p))) >= floor
+
+    def test_sense_case_f_eta_evaluations(self):
+        # the capacity equals the LP's on eta in [0, ~2.1]: the root-find
+        # must bisect off that flat stretch, not creep up it by secant steps
+        floor = self._sense_floor()
+        _, _, _, trace = _subcarrier_step(False, N16_GAMMA_C, N16_GAMMA_S, floor, N16_P_MAX)
+        assert len(trace.eta) <= 100
 
 
 def _desk_spec_comm(model, precision_m, p_max=0.04):
@@ -477,9 +487,11 @@ class TestAllocationRules:
         n = 9
         gamma_c = rng.uniform(0.1, 100, n)
         gamma_s = rng.uniform(0.1, 100, n)
-        p = _comm_allocation(gamma_c, gamma_s, rng.uniform(0.1, 50), eta, 0.1)
+        k2gs = _subcarrier_weights(n) * gamma_s
+        p = _fill(rng.uniform(0.1, 50), 1.0, eta * k2gs, gamma_c, 0.1)
         assert np.all(p >= 0) and np.all(p <= 0.1 + 1e-12)
 
     def test_sense_rule_requires_positive_eta(self):
         with pytest.raises(ValueError):
-            _sense_allocation(np.ones(3), np.ones(3), 1.0, 0.0, 0.2)
+            # psi_0 rule at eta = 0: scale eta, shift k^2 g_s
+            _fill(1.0, 0.0, _subcarrier_weights(3) * np.ones(3), np.ones(3), 0.2)

@@ -474,8 +474,8 @@ class TestSignalAutocorrelation:
 class TestSnrProfiles:
     @staticmethod
     def _chan(n_c=1e-10, n_s=1e-10):
-        return ChannelState(h_bar_c=0.6, h_bar_s=0.005, sigma_t2_c=0.0,
-                            sigma_t2_s=0.0, noise_psd_c=n_c, noise_psd_s=n_s,
+        return ChannelState(h_bar_c=0.6, h_bar_s=0.005, sigma_t2_s=0.0,
+                            noise_psd_c=n_c, noise_psd_s=n_s,
                             reflectivity=0.5)
 
     def test_clipping_free_limit(self, desk_cfg):

@@ -6,6 +6,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from fso_isac import allocator, cli, monte_carlo, system
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -26,20 +28,55 @@ def test_wrap_points_resolve():
         assert callable(getattr(module, attr, None)), f"{mod_name}.{attr}"
 
 
-def test_verify_calls_ofdm_hooks(scenario_dir, tmp_path):
-    # a desk verify reaches generate_frame and to_time_domain through the
-    # monte_carlo names the tracer wraps
-    tracing = load_tracing()
-    tracer = tracing.Tracer()
+def traced_main(argv):
+    """cli.main(argv) under the benchmark's tracer; returns the exit code
+    and the spans."""
+    tracer = load_tracing().Tracer()
     missing = tracer.install({"cli": cli, "allocator": allocator,
                               "system": system, "monte_carlo": monte_carlo})
     try:
-        cli.main(["verify", "--scenario", str(scenario_dir / "desk.json"),
-                  "--out", str(tmp_path), "--trials", "2"])
+        code = cli.main(argv)
     finally:
         tracer.uninstall()
     assert missing == []
-    names = {span["name"] for span in tracer.spans}
+    return code, tracer.spans
+
+
+def test_verify_calls_ofdm_hooks(scenario_dir, tmp_path):
+    # a desk verify reaches generate_frame and to_time_domain through the
+    # monte_carlo names the tracer wraps
+    _, spans = traced_main(["verify", "--scenario", str(scenario_dir / "desk.json"),
+                            "--out", str(tmp_path), "--trials", "2"])
+    names = {span["name"] for span in spans}
     assert {"ofdm.generate_frame", "ofdm.to_time_domain",
             "monte_carlo.rmse", "monte_carlo.clip_verify"} <= names
     assert monte_carlo.generate_frame.__module__ == "fso_isac.ofdm"
+
+
+@pytest.mark.parametrize("argv, case", [
+    (["solve"], "C"),
+    (["sweep", "--param", "C0_bpshz", "--values", "0.5"], "F"),
+], ids=["comm-solve", "sense-sweep-point"])
+def test_allocator_calls_dual_hooks(scenario_dir, tmp_path, monkeypatch, argv, case):
+    # the desk solve at 12 cm and a sweep point at 0.5 bps/Hz reach the
+    # coupled dual, water-filling and the sensing LP through the allocator
+    # names the tracer wraps; a step that bypassed them would read as a
+    # zero dual layer in a traced run
+    records = []
+
+    def record(*args, _real=cli._solution_record):
+        records.append(_real(*args))
+        return records[-1]
+
+    monkeypatch.setattr(cli, "_solution_record", record)
+    command, *options = argv
+    code, spans = traced_main([command, "--scenario", str(scenario_dir / "desk.json"),
+                               "--out", str(tmp_path), *options])
+    assert code == 0
+    assert [r["case"] for r in records] == [case]
+    duals = [s for s in spans if s["name"] == "allocator.dual"]
+    assert duals
+    # each dual call's trace has one more evaluation than it has alternations
+    assert (sum(s["alternations"] for s in duals)
+            == sum(records[0]["dual_iterations"]) - len(duals))
+    assert {"allocator.waterfill", "allocator.sensing_lp"} <= {s["name"] for s in spans}
