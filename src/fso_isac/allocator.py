@@ -519,14 +519,16 @@ def _solve_bcd(spec: ProblemSpec, model: SystemModel) -> AllocationSolution:
 
 
 def solve_p1(spec: ProblemSpec, model: SystemModel) -> AllocationSolution:
-    """Communication-centric solve: max C subject to the sensing floor."""
+    """P1, communication-centric: max C subject to the sensing floor (the
+    BCD that `solve_p2` shares, with the comm-mode step)."""
     if spec.mode != MODE_COMM:
         raise ValueError("solve_p1 needs a comm-centric ProblemSpec")
     return _solve_bcd(spec, model)
 
 
 def solve_p2(spec: ProblemSpec, model: SystemModel) -> AllocationSolution:
-    """Sensing-centric solve: max Fisher information subject to a capacity floor."""
+    """P2, sensing-centric: max Fisher information subject to a capacity
+    floor (the BCD that `solve_p1` shares, with the sense-mode step)."""
     if spec.mode != MODE_SENSE:
         raise ValueError("solve_p2 needs a sensing-centric ProblemSpec")
     return _solve_bcd(spec, model)

@@ -374,22 +374,14 @@ class TestFloorJustAboveUncoupled:
         assert case == CASE_C
         assert float(np.sum(N16_K2GS * p)) >= floor
 
-    @staticmethod
-    def _sense_floor():
-        p_lp = sensing_lp(N16_GAMMA_S, N16_P_MAX)
-        return float(np.sum(np.log1p(N16_GAMMA_C * p_lp))) * (1.0 + 1e-13)
-
     def test_sense_case_f(self):
-        floor = self._sense_floor()
-        p, case, _, _ = _subcarrier_step(False, N16_GAMMA_C, N16_GAMMA_S, floor, N16_P_MAX)
+        p_lp = sensing_lp(N16_GAMMA_S, N16_P_MAX)
+        floor = float(np.sum(np.log1p(N16_GAMMA_C * p_lp))) * (1.0 + 1e-13)
+        p, case, _, trace = _subcarrier_step(False, N16_GAMMA_C, N16_GAMMA_S, floor, N16_P_MAX)
         assert case == CASE_F
         assert float(np.sum(np.log1p(N16_GAMMA_C * p))) >= floor
-
-    def test_sense_case_f_eta_evaluations(self):
         # the capacity equals the LP's on eta in [0, ~2.1]: the root-find
         # must bisect off that flat stretch, not creep up it by secant steps
-        floor = self._sense_floor()
-        _, _, _, trace = _subcarrier_step(False, N16_GAMMA_C, N16_GAMMA_S, floor, N16_P_MAX)
         assert len(trace.eta) <= 100
 
 
