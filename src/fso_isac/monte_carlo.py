@@ -23,15 +23,17 @@ section 8.7).
 
 Trials run in blocks.  Each trial draws from its own generator, in the
 order frame, turbulence, noise, so a report does not depend on the block
-size; verification frame t is seeded by (seed, t).  A block then goes
-through each NumPy stage as one stacked call: half-spectrum synthesis of
-the template and the delayed stream, the prefix patch, the clip, the mean
-removal and the symbol-wise correlation.  A block holds
-max(1, BLOCK_SAMPLES // S) trials, S = M (N + N_cp) samples per stream, so
-the memory a block adds is bounded by the sample budget, not by the trial
-count: 4 trials of 5744 samples on the desk scenario, 1 trial of 91776 on
-the reference one.  The ToF loop writes each block's streams into one
-zero-tailed buffer, allocated once per campaign for the largest block.
+size; verification frame t is seeded by (seed, t).  Each NumPy stage runs
+once per block, stacked.  A block holds max(1, BLOCK_SAMPLES // S) trials
+of S samples: S = M N in the clipping check, which reads cores only, and
+S = M (N + N_cp) in the ToF loop (4 trials on desk, 1 on reference).
+There one synthesis of the stacked grid [X, X ramp] gives the template
+cores and the echo, which goes with its prefixes straight into a
+zero-tailed stream buffer allocated once per campaign.  The peak search
+runs once per group of whole blocks whose (point, trial, lag) array fits
+in BLOCK_SAMPLES: 76 trials on desk and 19 on reference at three SNR
+points.  So memory grows with the trial count only by the per-trial
+results.
 
 The SNR points of a ToF campaign share their trials (common random
 numbers).  Trial t draws one frame, one fade and one unit-variance noise
@@ -56,7 +58,7 @@ from .channel import sample_turbulence
 from .clipping import compute_clipping_stats
 from .config import SPEED_OF_LIGHT, OfdmConfig
 from .metrics import crb_distance
-from .ofdm import FrequencyGrid, generate_frame, to_time_domain
+from .ofdm import FrequencyGrid, TimeSignal, generate_frame, to_time_domain
 from .system import SystemModel
 
 # verify_clipping_model compares R_wp on lags 1..VERIFY_LAGS; nominal relative
@@ -65,7 +67,7 @@ VERIFY_LAGS = 32
 TOL_MOMENTS = 0.01
 TOL_R0 = 0.02
 TOL_PSD = 0.05
-# samples per stream times trials per block, at most (one trial at least)
+# samples per trial times trials per block, at most (one trial at least)
 BLOCK_SAMPLES = 24_000
 
 
@@ -112,13 +114,9 @@ def _fft_len(n: int) -> int:
     return best
 
 
-def _blocks(trials: int, cfg: OfdmConfig):
-    """Consecutive trial ranges, each as many whole streams as fit in
-    BLOCK_SAMPLES (one at least)."""
-    stream = cfg.n_symbols * (cfg.n_subcarriers + cfg.guard_samples)
-    size = max(1, BLOCK_SAMPLES // stream)
-    for start in range(0, trials, size):
-        yield range(start, min(start + size, trials))
+def _chunks(items: range, size: int):
+    """Consecutive sub-ranges of `items`, `size` long (the last may be less)."""
+    return (items[i : i + size] for i in range(0, len(items), size))
 
 
 def _correlate_symbols(windows: np.ndarray, cores: np.ndarray, max_lag: int) -> np.ndarray:
@@ -159,31 +157,36 @@ def delayed_clipped_stream(
     cfg: OfdmConfig,
     bias: float,
     tof: float,
-) -> np.ndarray:
-    """Sample stream of the clipped transmission delayed by `tof` seconds.
+    out: np.ndarray | None = None,
+) -> tuple:
+    """(cores, stream): the grid's unbiased symbol cores (..., M, N) and
+    the clipped transmission delayed by `tof` seconds (..., S), written
+    into `out` when given, from one synthesis of the stacked [X, X ramp].
 
     Each symbol is delayed exactly via a frequency-domain phase ramp (the
     waveform is band-limited within its symbol), then re-serialized with
     its cyclic prefix.  The leading ceil(tof * R_s) samples of every symbol
     window belong to the previous symbol's tail and are patched in, which
     reproduces the exact serial delayed stream (verified against integer
-    shifts).  Requires tof < T_g.  A stacked grid gives one stream per
-    frame, shape (..., S).
+    shifts).  Requires tof < T_g.
     """
     if not 0.0 <= tof < cfg.guard_s:
         raise ValueError("tof must lie in [0, T_g)")
-    n = cfg.n_subcarriers
-    freqs = np.fft.rfftfreq(n, d=1.0 / cfg.sample_rate)
-    ramp = np.exp(-2j * np.pi * freqs * tof)
-    ts = to_time_domain(FrequencyGrid(x=grid.x * ramp[:, None]), cfg)
-    stream = ts.pre_clip
+    n, cp = cfg.n_subcarriers, cfg.guard_samples
+    ramp = np.exp(-2j * np.pi * np.fft.rfftfreq(n, d=1.0 / cfg.sample_rate) * tof)
+    # symbol-major, so that the synthesis reads it without a transposed copy
+    x = np.swapaxes(grid.x, -1, -2)
+    both = np.empty((2, *x.shape), dtype=complex)
+    both[0] = x
+    np.multiply(x, ramp, out=both[1])
+    cores, delayed = to_time_domain(FrequencyGrid(x=np.swapaxes(both, -1, -2)), cfg).cores
+    stream = TimeSignal(cores=delayed, cp_samples=cp).stream(out)
     d_prev = int(np.ceil(tof * cfg.sample_rate - 1e-9))
     if d_prev > 0:
-        windows = stream.reshape(*stream.shape[:-1], cfg.n_symbols, ts.cp_samples + n)
-        cores = windows[..., ts.cp_samples:]
-        windows[..., 1:, :d_prev] = cores[..., :-1, :d_prev]
+        windows = stream.reshape(*stream.shape[:-1], cfg.n_symbols, cp + n)
+        windows[..., 1:, :d_prev] = delayed[..., :-1, :d_prev]
     stream += bias
-    return np.maximum(stream, 0.0, out=stream)
+    return cores, np.maximum(stream, 0.0, out=stream)
 
 
 @dataclass(frozen=True)
@@ -216,9 +219,8 @@ def rmse_vs_crb(
 
     Every SNR point sees the same trials; see the module docstring.
     """
-    cfg = model.cfg
-    chan = model.chan
-    if campaign.true_tof >= cfg.guard_s:
+    cfg, chan, tof = model.cfg, model.chan, campaign.true_tof
+    if tof >= cfg.guard_s:
         raise ValueError("true_tof must be below the guard duration")
     n, cp = cfg.n_subcarriers, cfg.guard_samples
     size = cfg.n_symbols * (n + cp)
@@ -226,32 +228,35 @@ def rmse_vs_crb(
     noise_psd = [10.0 ** (snr_db / 10.0) for snr_db in campaign.snr_sweep]
     sigma_v = np.sqrt(np.array(noise_psd) * cfg.bandwidth_hz / norm)
     errors = np.empty((len(noise_psd), campaign.trials))
+    block = max(1, BLOCK_SAMPLES // size)
+    # whole blocks whose (point, trial, lag) peak search fits the budget
+    group = block * max(1, BLOCK_SAMPLES // (block * len(noise_psd) * cp))
     # the clean echo and the unit noise of each trial, each stream followed
-    # by cp zeros; sized by the first block, the largest
-    buf = np.zeros((2, len(next(_blocks(campaign.trials, cfg))), size + cp))
-    for trials in _blocks(campaign.trials, cfg):
-        rngs = [np.random.default_rng([campaign.rng_seed, 0, t]) for t in trials]
-        grid = generate_frame(cfg, p_norm, rng_seed=rngs, bias=b)
-        clean = delayed_clipped_stream(grid, cfg, b, campaign.true_tof)
-        if chan.sigma_t2_s > 0:
-            clean *= np.stack(
-                [sample_turbulence(chan.sigma_t2_s, rng, 1) for rng in rngs]
+    # by cp zeros; sized for the largest block
+    buf = np.zeros((2, min(block, campaign.trials), size + cp))
+    for members in _chunks(range(campaign.trials), group):
+        first = members.start
+        corr = np.empty((2, len(members), cp))
+        for trials in _chunks(members, block):
+            rngs = [np.random.default_rng([campaign.rng_seed, 0, t]) for t in trials]
+            grid = generate_frame(cfg, p_norm, rng_seed=rngs, bias=b)
+            padded = buf[:, : len(trials)]
+            streams = padded[..., :size]
+            cores, clean = delayed_clipped_stream(grid, cfg, b, tof, out=streams[0])
+            if chan.sigma_t2_s > 0:
+                clean *= np.stack([sample_turbulence(chan.sigma_t2_s, rng, 1) for rng in rngs])
+            for row, rng in zip(streams[1], rngs):
+                rng.standard_normal(out=row)
+            streams -= streams.mean(axis=-1, keepdims=True)
+            # symbol m's core and the next prefix (or the zero tail): all
+            # that its core meets at lags below cp
+            windows = padded[..., cp:].reshape(*padded.shape[:-1], cfg.n_symbols, n + cp)
+            corr[:, trials.start - first : trials.stop - first] = _correlate_symbols(
+                windows, cores, cp
             )
-        padded = buf[:, : len(trials)]
-        streams = padded[..., :size]
-        streams[0] = clean
-        for row, rng in zip(streams[1], rngs):
-            rng.standard_normal(out=row)
-        streams -= streams.mean(axis=-1, keepdims=True)
-        # symbol m's core and the next prefix (or the zero tail): all that
-        # its core meets at lags below cp
-        windows = padded[..., cp:].reshape(*padded.shape[:-1], cfg.n_symbols, n + cp)
-        cores = to_time_domain(grid, cfg).symbol_cores()
-        c_clean, c_noise = _correlate_symbols(windows, cores, cp)
+        c_clean, c_noise = corr
         tau_hat = _peak_delay(c_clean + sigma_v[:, None, None] * c_noise, cfg.sample_rate)
-        errors[:, trials.start : trials.stop] = 0.5 * SPEED_OF_LIGHT * (
-            tau_hat - campaign.true_tof
-        )
+        errors[:, first : members.stop] = 0.5 * SPEED_OF_LIGHT * (tau_hat - tof)
     points = []
     for snr_db, psd, err in zip(campaign.snr_sweep, noise_psd, errors):
         model_i = SystemModel(cfg=cfg, chan=replace(chan, noise_psd_s=psd))
@@ -327,18 +332,18 @@ def verify_clipping_model(
     n = cfg.n_subcarriers
     # per-frame sums of x.x, x.xp, wp.wp, wp.x and wp
     sum_xx, sum_xxp, sum_wp2, sum_wx, sum_wp = np.empty((5, trials))
-    psd_sum = np.zeros(n // 2 + 1)
-    psd_sumsq = np.zeros(n // 2 + 1)
-    for block in _blocks(trials, cfg):
+    psd_sum, psd_sumsq = np.zeros((2, n // 2 + 1))
+    for block in _chunks(range(trials), max(1, BLOCK_SAMPLES // (cfg.n_symbols * n))):
         rngs = [np.random.default_rng([seed, t]) for t in block]
         grid = generate_frame(cfg, p_norm, rng_seed=rngs, bias=b)
-        x = to_time_domain(grid, cfg).symbol_cores()
+        x = to_time_domain(grid, cfg).cores
         xp = np.maximum(x + b, 0.0)
         wp = xp - b - k_gain * x
         spec = np.fft.rfft(wp, axis=-1)
-        for row in np.mean(spec.real**2 + spec.imag**2, axis=-2) / n:
-            psd_sum += row
-            psd_sumsq += row**2
+        rows = np.mean(spec.real**2 + spec.imag**2, axis=-2) / n
+        # frame by frame onto the running sums, in the order of a loop
+        psd_sum = np.add.reduce(np.concatenate([psd_sum[None], rows]), axis=0)
+        psd_sumsq = np.add.reduce(np.concatenate([psd_sumsq[None], rows**2]), axis=0)
         x, xp, wp = (a.reshape(len(block), -1) for a in (x, xp, wp))
         frames = slice(block.start, block.stop)
         sum_xx[frames] = np.sum(x * x, axis=-1)

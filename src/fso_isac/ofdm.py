@@ -1,15 +1,17 @@
 """DCO-OFDM frame synthesis.
 
 Draws Gaussian subcarrier symbols and converts them to real, unbiased
-time-domain sample streams (inverse real DFT and cyclic prefix); the Monte
-Carlo harness adds the DC bias and clips.
+time-domain symbols, the cores (inverse real DFT).  A synthesis holds the
+cores only; the cyclic prefix is prepended where a serialized stream is
+read.  The Monte Carlo harness adds the DC bias and clips.
 
 Frames are stored as half spectra: a grid holds bins k = 0..N/2 only, and
 bins N/2+1..N-1 are implied as the conjugates of N/2-1..1, so the grid is
 Hermitian by construction and `to_time_domain` is one `irfft`.  Bins 0 and
-N/2 stay null.  A grid may carry leading axes, one frame per index, and
-`to_time_domain` synthesizes the whole stack in one call; each frame comes
-out bit for bit as it would alone.
+N/2 stay null.  A grid may carry leading axes, one frame per index:
+`generate_frame` makes one `standard_normal` call per frame and stores
+the stack symbol-major, the order in which `to_time_domain` synthesizes
+it in one call; each frame comes out bit for bit as it would alone.
 
 Power conventions: a normalized allocation p_norm over data subcarriers
 k in [1, N/2) sums to 1/2; each bin of a Hermitian pair carries
@@ -56,35 +58,28 @@ class FrequencyGrid:
     def n_subcarriers(self) -> int:
         return 2 * (self.x.shape[-2] - 1)
 
-    @property
-    def n_symbols(self) -> int:
-        return self.x.shape[-1]
-
 
 @dataclass(frozen=True)
 class TimeSignal:
-    """Real sample stream at rate R_s, serialized symbol-by-symbol with CP.
+    """Real, unbiased OFDM symbols at rate R_s, before any prefix: `cores`
+    holds the N samples x(n) of each symbol, shape (..., M, N) with the
+    leading axes of the grid, and `cp_samples` is the prefix length."""
 
-    Attributes:
-        pre_clip: the unbiased, unclipped stream x(n), shape (..., S) with
-            the leading axes of the grid.
-        cp_samples: cyclic-prefix length per symbol.
-        n_fft: IDFT size (subcarriers per symbol).
-    """
-
-    pre_clip: np.ndarray
+    cores: np.ndarray
     cp_samples: int
-    n_fft: int
 
-    @property
-    def n_symbols(self) -> int:
-        return self.pre_clip.shape[-1] // (self.n_fft + self.cp_samples)
-
-    def symbol_cores(self) -> np.ndarray:
-        """Pre-clip samples (..., n_symbols, N) with prefixes stripped."""
-        span = self.n_fft + self.cp_samples
-        mat = self.pre_clip.reshape(*self.pre_clip.shape[:-1], self.n_symbols, span)
-        return mat[..., self.cp_samples:]
+    def stream(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The serialized stream (..., M (N + N_cp)), each core preceded by
+        its last N_cp samples; written into `out` when given (a view whose
+        last axis is contiguous will do)."""
+        *lead, m, n = self.cores.shape
+        cp = self.cp_samples
+        if out is None:
+            out = np.empty((*lead, m * (n + cp)))
+        windows = out.reshape(*lead, m, n + cp)
+        windows[..., cp:] = self.cores
+        windows[..., :cp] = self.cores[..., n - cp :]
+        return out
 
 
 def generate_frame(
@@ -96,7 +91,9 @@ def generate_frame(
     """Draw frames of circular complex Gaussian subcarrier symbols.
 
     Each data bin k in [1, N/2) gets variance (P - b^2) * p_norm(k); bins
-    0 and N/2 stay null.  The draw is deterministic for a fixed seed.
+    0 and N/2 stay null.  The draw is deterministic for a fixed seed: a
+    frame's generator draws the real parts of the data bins, (N/2-1, M) in
+    row order, then their imaginary parts.
 
     `rng_seed` is anything `np.random.default_rng` accepts, for one frame
     of shape (N/2+1, M).  A list of Generators draws a stack (T, N/2+1, M):
@@ -111,36 +108,33 @@ def generate_frame(
     )
     rngs = rng_seed if stacked else [np.random.default_rng(rng_seed)]
     n, m = cfg.n_subcarriers, cfg.n_symbols
-    shape = (cfg.n_data_subcarriers, m)
+    draws = np.empty((len(rngs), 2, cfg.n_data_subcarriers, m))
+    for out, rng in zip(draws, rngs):
+        rng.standard_normal(out=out)
+    x = np.swapaxes(np.zeros((len(rngs), m, n // 2 + 1), dtype=complex), -1, -2)
+    data = x[:, 1 : n // 2]
     scale = np.sqrt(ac_power * p / 2.0)[:, None]
-    x = np.zeros((len(rngs), n // 2 + 1, m), dtype=complex)
-    for frame, rng in zip(x, rngs):
-        data = frame[1 : n // 2]
-        data.real = scale * rng.standard_normal(shape)
-        data.imag = scale * rng.standard_normal(shape)
+    np.multiply(draws[:, 0], scale, out=data.real)
+    np.multiply(draws[:, 1], scale, out=data.imag)
     return FrequencyGrid(x=x if stacked else x[0])
 
 
 def to_time_domain(grid: FrequencyGrid, cfg: OfdmConfig) -> TimeSignal:
-    """Inverse real DFT of each symbol (1/sqrt(N) normalization) with the
-    cyclic prefix prepended, for every frame of the grid's leading axes.
+    """Inverse real DFT of each symbol (1/sqrt(N) normalization), for
+    every frame of the grid's leading axes.
 
-    The stream is unbiased: the caller adds the DC bias and clips.  `irfft`
-    would drop the imaginary parts of bins 0 and N/2 without a trace, so a
-    grid with either bin nonzero is rejected.
+    The symbols are unbiased: the caller adds the DC bias and clips.
+    `irfft` would drop the imaginary parts of bins 0 and N/2 without a
+    trace, so a grid with either bin nonzero is rejected.
     """
     n = cfg.n_subcarriers
     if grid.n_subcarriers != n:
         raise ValueError("grid size does not match cfg.n_subcarriers")
     if np.any(grid.x[..., :: n // 2, :]):
         raise ValueError("bins 0 and N/2 of the grid must be null")
-    # symbol-major and contiguous, so that the stream is a reshape (irfft
-    # keeps the strides of a transposed view)
+    # symbol-major and contiguous, so that the cores are too (irfft keeps
+    # the strides of a transposed view)
     spectra = np.ascontiguousarray(np.swapaxes(grid.x, -1, -2))
-    core = np.fft.irfft(spectra, n, axis=-1)
-    core *= np.sqrt(n)
-    cp = cfg.guard_samples
-    with_cp = np.concatenate([core[..., n - cp :], core], axis=-1) if cp else core
-    return TimeSignal(
-        pre_clip=with_cp.reshape(*with_cp.shape[:-2], -1), cp_samples=cp, n_fft=n
-    )
+    cores = np.fft.irfft(spectra, n, axis=-1)
+    cores *= np.sqrt(n)
+    return TimeSignal(cores=cores, cp_samples=cfg.guard_samples)

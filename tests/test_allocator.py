@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -240,20 +242,22 @@ class TestSensingLp:
                             best = max(best, float(key @ vertex))
             assert key @ p == pytest.approx(best, rel=1e-12)
 
-    def test_never_beaten_by_random_feasible(self):
+    def test_never_beaten_by_feasible_vertex(self):
+        # a linear objective over {0 <= p <= p_max, sum p = 1/2} peaks at a
+        # vertex; with p_max = 0.06 and 15 bins every vertex has 8 bins at
+        # the cap and one at the remaining 0.02: C(15, 8) * 7 = 45 045
         rng = np.random.default_rng(6)
         gamma_s = rng.uniform(0.5, 2.0, 15)
         p_max = 0.06
         key = gamma_s * np.arange(1, 16) ** 2
         p_star = sensing_lp(gamma_s, p_max)
-        best = key @ p_star
-        found = 0
-        while found < 100_000:
-            cand = rng.dirichlet(np.ones(15), size=4096) * 0.5
-            ok = cand[np.all(cand <= p_max, axis=1)]
-            if ok.size:
-                found += ok.shape[0]
-                assert np.all(ok @ key <= best + 1e-12)
+        capped = np.array(list(itertools.combinations(range(15), 8)))
+        free = np.ones((len(capped), 15), dtype=bool)
+        free[np.arange(len(capped))[:, None], capped] = False
+        rest = np.nonzero(free)[1].reshape(len(capped), 7)
+        values = p_max * key[capped].sum(axis=1)[:, None] + (0.5 - 8 * p_max) * key[rest]
+        assert values.size == 45_045
+        assert key @ p_star == pytest.approx(values.max(), rel=1e-12)
 
     def test_stable_tiebreak(self):
         # equal keys: lower k keeps the lower rank, deterministically

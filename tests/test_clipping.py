@@ -463,7 +463,7 @@ class TestSignalAutocorrelation:
         n_frames = 150
         for t in range(n_frames):
             grid = generate_frame(desk_cfg, p, rng_seed=[31, t], bias=0.0)
-            x = to_time_domain(grid, desk_cfg).symbol_cores()
+            x = to_time_domain(grid, desk_cfg).cores
             spec = np.fft.fft(x, axis=1)
             acc += np.mean(np.fft.ifft(spec * np.conj(spec), axis=1).real, axis=0)
         emp = acc / n_frames / desk_cfg.n_subcarriers
@@ -522,7 +522,7 @@ class TestMonteCarloAgreement:
         acc_m = acc_p = n = 0.0
         for t in range(70):
             grid = generate_frame(clip_cfg, p, rng_seed=[41, t], bias=b)
-            x = to_time_domain(grid, clip_cfg).symbol_cores()
+            x = to_time_domain(grid, clip_cfg).cores
             wp = np.maximum(x + b, 0.0) - b - stats.bussgang * x
             acc_m += wp.sum()
             acc_p += (wp**2).sum()

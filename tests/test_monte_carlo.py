@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -57,7 +60,7 @@ def correlate_template(rx, grid, cfg):
     cp = cfg.guard_samples
     padded = np.concatenate([rx, np.zeros((*rx.shape[:-1], cp))], axis=-1)
     windows = padded[..., cp:].reshape(*rx.shape[:-1], cfg.n_symbols, -1)
-    return _correlate_symbols(windows, to_time_domain(grid, cfg).symbol_cores(), cp)
+    return _correlate_symbols(windows, to_time_domain(grid, cfg).cores, cp)
 
 
 def direct_correlation(rx, ref, max_lag):
@@ -172,7 +175,7 @@ class TestEstimateTof:
     def test_exact_integer_lag(self, small_cfg):
         p = uniform_allocation(small_cfg)
         grid = generate_frame(small_cfg, p, rng_seed=1, bias=0.2)
-        rx = delayed_clipped_stream(grid, small_cfg, 0.2, 9.0 / small_cfg.sample_rate)
+        _, rx = delayed_clipped_stream(grid, small_cfg, 0.2, 9.0 / small_cfg.sample_rate)
         corr = correlate_template(rx - rx.mean(), grid, small_cfg)
         assert np.argmax(corr) == 9
 
@@ -183,14 +186,14 @@ class TestEstimateTof:
         grid = generate_frame(desk_cfg, p, rng_seed=2, bias=0.15)
         rs = desk_cfg.sample_rate
         tof = (30 + 0.37) / rs
-        rx = delayed_clipped_stream(grid, desk_cfg, 0.15, tof)
+        _, rx = delayed_clipped_stream(grid, desk_cfg, 0.15, tof)
         rx = rx - rx.mean()
         tau = _peak_delay(correlate_template(rx, grid, desk_cfg), rs)
 
         fine = np.arange(29.5, 31.5, 0.01) / rs
         scores = []
         for cand in fine:
-            repl = delayed_clipped_stream(grid, desk_cfg, 0.15, float(cand))
+            _, repl = delayed_clipped_stream(grid, desk_cfg, 0.15, float(cand))
             scores.append(float(np.dot(rx, repl - repl.mean())))
         oracle = fine[int(np.argmax(scores))]
         assert abs(oracle - tof) * rs < 0.02  # oracle sanity
@@ -266,9 +269,29 @@ class TestDelayedStream:
         grid = generate_frame(small_cfg, p, rng_seed=11, bias=0.3)
         rs = small_cfg.sample_rate
         d = 7
-        plain = np.maximum(to_time_domain(grid, small_cfg).pre_clip + 0.3, 0.0)
-        shifted = delayed_clipped_stream(grid, small_cfg, 0.3, d / rs)
+        ts = to_time_domain(grid, small_cfg)
+        plain = np.maximum(ts.stream() + 0.3, 0.0)
+        cores, shifted = delayed_clipped_stream(grid, small_cfg, 0.3, d / rs)
         assert_allclose(shifted[d:], plain[:-d], atol=1e-14)
+        # the template cores come out of the same synthesis, bit for bit
+        assert_array_equal(cores, ts.cores)
+
+    def test_writes_into_buffer_view(self, small_cfg):
+        # as rmse_vs_crb passes it: rows of a zero-tailed buffer, stacked
+        # frames; the tail stays zero and the stream equals a fresh one
+        cfg, cp = small_cfg, small_cfg.guard_samples
+        rngs = [np.random.default_rng([4, t]) for t in range(3)]
+        grid = generate_frame(cfg, uniform_allocation(cfg), rngs, bias=0.1)
+        size = cfg.n_symbols * (cfg.n_subcarriers + cp)
+        buf = np.zeros((3, size + cp))
+        tof = 5.4 / cfg.sample_rate
+        cores, stream = delayed_clipped_stream(grid, cfg, 0.1, tof, out=buf[:, :size])
+        assert np.shares_memory(stream, buf)
+        fresh_cores, fresh = delayed_clipped_stream(grid, cfg, 0.1, tof)
+        assert_array_equal(buf[:, :size], fresh)
+        assert_array_equal(buf[:, size:], 0.0)
+        assert_array_equal(cores, fresh_cores)
+        assert cores.shape == (3, cfg.n_symbols, cfg.n_subcarriers)
 
     def test_tof_domain(self, small_cfg):
         grid = generate_frame(small_cfg, uniform_allocation(small_cfg), rng_seed=0)
@@ -277,14 +300,14 @@ class TestDelayedStream:
 
     def test_clipping_applied(self, small_cfg):
         grid = generate_frame(small_cfg, uniform_allocation(small_cfg), rng_seed=1)
-        out = delayed_clipped_stream(grid, small_cfg, 0.05, 3.3 / small_cfg.sample_rate)
+        _, out = delayed_clipped_stream(grid, small_cfg, 0.05, 3.3 / small_cfg.sample_rate)
         assert np.all(out >= 0)
 
     def test_zero_grid_bias(self, small_cfg):
         grid = generate_frame(small_cfg, uniform_allocation(small_cfg), rng_seed=0)
         zero = type(grid)(x=np.zeros_like(grid.x))
-        assert_array_equal(delayed_clipped_stream(zero, small_cfg, 0.5, 0.0), 0.5)
-        assert_array_equal(delayed_clipped_stream(zero, small_cfg, 0.0, 0.0), 0.0)
+        assert_array_equal(delayed_clipped_stream(zero, small_cfg, 0.5, 0.0)[1], 0.5)
+        assert_array_equal(delayed_clipped_stream(zero, small_cfg, 0.0, 0.0)[1], 0.0)
 
     def test_clip_fraction_at_zero_bias(self, clip_cfg):
         # Q(0) = 1/2 of the samples clip at b = 0
@@ -292,7 +315,7 @@ class TestDelayedStream:
         total = zeros = 0
         for t in range(10):
             grid = generate_frame(clip_cfg, p, rng_seed=[11, t])
-            out = delayed_clipped_stream(grid, clip_cfg, 0.0, 0.0)
+            _, out = delayed_clipped_stream(grid, clip_cfg, 0.0, 0.0)
             zeros += int(np.sum(out == 0.0))
             total += out.size
         assert total >= 1e5
@@ -384,8 +407,11 @@ class TestRmseVsCrb:
             expected.append(replace(pt, rmse_m=rmse, ratio=rmse / pt.crb_m,
                                     bias_m=float(np.mean(err))))
         assert list(report.csv_rows()) == list(RmseReport(tuple(expected)).csv_rows())
-        # one trial per block gives the same report
+        # one trial per block gives the same report, and so do peak searches
+        # over groups of 3, 3 and 1 single-trial blocks
         monkeypatch.setattr(monte_carlo, "BLOCK_SAMPLES", 1)
+        assert rmse_vs_crb(camp, model, 0.18, p) == report
+        monkeypatch.setattr(monte_carlo, "BLOCK_SAMPLES", 3 * 2 * cfg.guard_samples)
         assert rmse_vs_crb(camp, model, 0.18, p) == report
 
     @pytest.mark.parametrize("cn2", [0.0, 5e-14])
@@ -403,26 +429,38 @@ class TestRmseVsCrb:
         assert found[0] == found[1] == found[2]
 
     def test_one_synthesis_per_block(self, small_cfg, monkeypatch):
-        # frames are drawn once per block of trials (7 trials in blocks of
-        # 3, 3 and 1), whatever the number of SNR points
+        # frames are drawn and synthesized once per block of trials (7
+        # trials in blocks of 3, 3 and 1), whatever the number of SNR
+        # points, through the names the tracer wraps; the blocks form one
+        # peak-search group
         model = SystemModel(cfg=small_cfg, chan=reference_channel(cn2=0.0))
         p = lowband_allocation(small_cfg)
         stream = small_cfg.n_symbols * (small_cfg.n_subcarriers + small_cfg.guard_samples)
         monkeypatch.setattr(monte_carlo, "BLOCK_SAMPLES", 3 * stream)
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return generate_frame(*args, **kwargs)
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
 
-        monkeypatch.setattr(monte_carlo, "generate_frame", counted)
+        for name in ("generate_frame", "to_time_domain", "_peak_delay"):
+            monkeypatch.setattr(monte_carlo, name, counted(name, getattr(monte_carlo, name)))
         counts = []
         for sweep in ((-100.0,), (-96.0, -98.0, -100.0)):
             calls.clear()
             camp = McCampaign(trials=7, rng_seed=3, true_tof=0.0, snr_sweep=sweep)
             rmse_vs_crb(camp, model, 0.18, p)
-            counts.append(len(calls))
-        assert counts == [3, 3]
+            counts.append([calls.count(name) for name in
+                           ("generate_frame", "to_time_domain", "_peak_delay")])
+        assert counts == [[3, 3, 1], [3, 3, 1]]
+        # the clipping check budgets the M N samples of the cores alone
+        monkeypatch.setattr(monte_carlo, "BLOCK_SAMPLES",
+                            3 * small_cfg.n_symbols * small_cfg.n_subcarriers)
+        calls.clear()
+        verify_clipping_model(small_cfg, 0.18, p, trials=7, seed=3)
+        assert calls == ["generate_frame", "to_time_domain"] * 3
 
     def test_campaign_validation(self):
         with pytest.raises(ValueError):
@@ -459,8 +497,8 @@ class TestVerifyClippingModel:
         # bits: empirical values agree to 1e-12 of the row's scale, and
         # errors and tolerances, already relative, to 1e-12
         p = lp_step_allocation(clip_cfg.n_data_subcarriers, 0.02)
-        stream = clip_cfg.n_symbols * (clip_cfg.n_subcarriers + clip_cfg.guard_samples)
-        monkeypatch.setattr(monte_carlo, "BLOCK_SAMPLES", 3 * stream)
+        frame = clip_cfg.n_symbols * clip_cfg.n_subcarriers
+        monkeypatch.setattr(monte_carlo, "BLOCK_SAMPLES", 3 * frame)
         report = verify_clipping_model(clip_cfg, 0.08, p, trials=7, seed=25)
         oracle = oracle_clipping_rows(clip_cfg, 0.08, p, trials=7, seed=25)
         assert [r.quantity for r in report.rows] == [o[0] for o in oracle]
@@ -479,3 +517,46 @@ class TestVerifyClippingModel:
         rows = list(report.csv_rows())
         assert rows[0].startswith("quantity,")
         assert len(rows) == 1 + 4 + 32 + 2  # header + scalars + lags + psd/corr
+
+
+@pytest.mark.parametrize("loop", ["rmse", "clipping"])
+def test_peak_memory_bounded_by_block_budget(loop, monkeypatch):
+    # peak traced memory grows with the trial count only by the per-trial
+    # result arrays (3 error rows, or 5 per-frame sums), one more row for
+    # their reductions, and a small slack; a budget of two streams keeps
+    # blocks and peak-search groups full at both counts.  Peak searches
+    # over all trials at once would add about 1.6 kB per trial here.
+    cfg = OfdmConfig(n_symbols=2, n_subcarriers=64, delta_f=2e5, guard_s=2e-6,
+                     power_w=1.0)
+    monkeypatch.setattr(monte_carlo, "BLOCK_SAMPLES",
+                        2 * cfg.n_symbols * (cfg.n_subcarriers + cfg.guard_samples))
+    model = SystemModel(cfg=cfg, chan=reference_channel(cn2=0.0))
+    p = uniform_allocation(cfg)
+    tof = 8.31 / cfg.sample_rate
+    sweep = (-96.0, -98.0, -100.0)
+    if loop == "rmse":
+        rows = len(sweep)
+
+        def run(trials):
+            camp = McCampaign(trials=trials, rng_seed=3, true_tof=tof, snr_sweep=sweep)
+            rmse_vs_crb(camp, model, 0.18, p)
+    else:
+        rows = 5
+
+        def run(trials):
+            verify_clipping_model(cfg, 0.18, p, trials=trials, seed=3)
+
+    def peak(trials):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run(trials)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    run(8)  # first calls fill lasting caches (FFT plans)
+    low, high = 20, 140
+    grown = peak(high) - peak(low)
+    assert grown <= (high - low) * 8 * (rows + 1) + 32_000

@@ -42,7 +42,7 @@ def test_grid_structure_small():
     p = np.array([1/6, 1/6, 1/6])
     grid = generate_frame(cfg, p, rng_seed=0)
     assert grid.x.shape == (5, 3)
-    assert (grid.n_subcarriers, grid.n_symbols) == (8, 3)
+    assert grid.n_subcarriers == 8
     assert_array_equal(grid.x[0], 0)
     assert_array_equal(grid.x[4], 0)
     assert np.all(grid.x[1:4] != 0)
@@ -88,7 +88,7 @@ def test_time_domain_real_and_parseval(desk_cfg):
     assert np.max(np.abs(core.imag)) < 1e-10 * sigma_x
     ts = to_time_domain(grid, desk_cfg)
     # Parseval per symbol: time power == sum over all N bins of |X|^2 / N
-    x = ts.symbol_cores()
+    x = ts.cores
     lhs = np.sum(x**2, axis=1)
     rhs = np.sum(np.abs(full) ** 2, axis=0)
     assert_allclose(lhs, rhs, rtol=1e-9)
@@ -101,7 +101,7 @@ def test_time_domain_variance_mc(clip_cfg):
     samples = []
     for t in range(40):
         grid = generate_frame(clip_cfg, p, rng_seed=[9, t], bias=b)
-        samples.append(to_time_domain(grid, clip_cfg).symbol_cores())
+        samples.append(to_time_domain(grid, clip_cfg).cores)
     var = np.concatenate(samples).var()
     assert var == pytest.approx((clip_cfg.power_w - b**2) / clip_cfg.n_subcarriers, rel=0.01)
 
@@ -111,7 +111,7 @@ def test_zero_grid_bias():
     cfg = OfdmConfig(n_symbols=2, n_subcarriers=16, delta_f=1e5, guard_s=0.0, power_w=1.0)
     grid = generate_frame(cfg, np.full(7, 0.5 / 7), rng_seed=0)
     zero = type(grid)(x=np.zeros_like(grid.x))
-    assert_array_equal(to_time_domain(zero, cfg).pre_clip, 0.0)
+    assert_array_equal(to_time_domain(zero, cfg).stream(), 0.0)
 
 
 @settings(max_examples=20, deadline=None)
@@ -126,12 +126,12 @@ def test_grid_hermitian_and_real_property(seed, bias_frac):
     n = cfg.n_subcarriers
     assert grid.x.shape == (n // 2 + 1, cfg.n_symbols)
     ts = to_time_domain(grid, cfg)
-    assert ts.pre_clip.dtype == np.float64
-    assert ts.pre_clip.shape == (cfg.n_symbols * (n + cfg.guard_samples),)
+    assert ts.stream().dtype == np.float64
+    assert ts.stream().shape == (cfg.n_symbols * (n + cfg.guard_samples),)
     full = np.fft.ifft(mirrored_grid(grid.x, n), axis=0) * np.sqrt(n)
     sigma_x = np.sqrt((cfg.power_w - b**2) / n)
     assert np.max(np.abs(full.imag)) <= 1e-15 * sigma_x * n
-    assert np.max(np.abs(ts.symbol_cores() - full.real.T)) <= 1e-15 * sigma_x * n
+    assert np.max(np.abs(ts.cores - full.real.T)) <= 1e-15 * sigma_x * n
 
 
 def test_half_spectrum_matches_full_ifft(table1_cfg):
@@ -145,7 +145,7 @@ def test_half_spectrum_matches_full_ifft(table1_cfg):
     expected = np.concatenate([core[n - cp :], core]).T.reshape(-1)
     sigma_x = np.sqrt((table1_cfg.power_w - b**2) / n)
     ts = to_time_domain(grid, table1_cfg)
-    assert np.max(np.abs(ts.pre_clip - expected)) <= 1e-15 * sigma_x * n
+    assert np.max(np.abs(ts.stream() - expected)) <= 1e-15 * sigma_x * n
 
 
 @pytest.mark.parametrize("k", [0, 8])
@@ -168,12 +168,11 @@ def test_stacked_equals_single_frames(desk_cfg):
     block = generate_frame(desk_cfg, p, [np.random.default_rng(s) for s in seeds], bias=b)
     singles = [generate_frame(desk_cfg, p, rng_seed=s, bias=b) for s in seeds]
     assert block.x.shape == (5, desk_cfg.n_subcarriers // 2 + 1, desk_cfg.n_symbols)
-    assert (block.n_subcarriers, block.n_symbols) == (singles[0].n_subcarriers,
-                                                      singles[0].n_symbols)
+    assert block.n_subcarriers == singles[0].n_subcarriers
     assert_array_equal(block.x, np.stack([g.x for g in singles]))
     ts = to_time_domain(block, desk_cfg)
-    assert ts.n_symbols == desk_cfg.n_symbols
+    assert ts.cores.shape[-2] == desk_cfg.n_symbols
     for t, grid in enumerate(singles):
         single = to_time_domain(grid, desk_cfg)
-        assert_array_equal(ts.pre_clip[t], single.pre_clip)
-        assert_array_equal(ts.symbol_cores()[t], single.symbol_cores())
+        assert_array_equal(ts.stream()[t], single.stream())
+        assert_array_equal(ts.cores[t], single.cores)
