@@ -449,24 +449,33 @@ def _subcarrier_step(comm, gamma_c, gamma_s, floor, p_max):
     return p, CASE_F, duals, dtrace
 
 
-def _solve_bcd(spec: ProblemSpec, model: SystemModel) -> AllocationSolution:
+def first_bias_step(mode: str, model: SystemModel):
+    """(b, search info, SNRs at b) of the bias search at the uniform
+    allocation that starts every BCD of `mode`; no floor enters it."""
+    n = model.cfg.n_data_subcarriers
+    p = np.full(n, 0.5 / n)
+    b, info = solve_bias("capacity" if mode == MODE_COMM else "fisher", p, model)
+    return b, info, model.snr(b, p)
+
+
+def _solve_bcd(spec: ProblemSpec, model: SystemModel, first_step) -> AllocationSolution:
     cfg = model.cfg
     spec.validate_against(cfg)
     comm = spec.mode == MODE_COMM
     objective = "capacity" if comm else "fisher"
     floor = spec.info_threshold(cfg) if comm else spec.capacity_threshold_nats(cfg)
-    p = np.full(cfg.n_data_subcarriers, 0.5 / cfg.n_data_subcarriers)
+    b, bias_info, snr = first_step or first_bias_step(spec.mode, model)
     trace = SolveTrace()
     obj_prev = None
     eps = None
-    b = 0.5 * math.sqrt(cfg.power_w)
     case = duals = None
     converged = False
     iterations = 0
 
     for i in range(MAX_OUTER_BCD):
-        b, bias_info = solve_bias(objective, p, model)
-        snr = model.snr(b, p)  # frozen through the subcarrier step
+        if i:
+            b, bias_info = solve_bias(objective, p, model)
+            snr = model.snr(b, p)  # frozen through the subcarrier step
         try:
             p_new, case, duals, dtrace = _subcarrier_step(
                 comm, snr.gamma_c, snr.gamma_s, floor, spec.p_max
@@ -518,17 +527,19 @@ def _solve_bcd(spec: ProblemSpec, model: SystemModel) -> AllocationSolution:
     )
 
 
-def solve_p1(spec: ProblemSpec, model: SystemModel) -> AllocationSolution:
+def solve_p1(spec: ProblemSpec, model: SystemModel, first_step=None) -> AllocationSolution:
     """P1, communication-centric: max C subject to the sensing floor (the
-    BCD that `solve_p2` shares, with the comm-mode step)."""
+    BCD that `solve_p2` shares, with the comm-mode step); `first_step` is
+    passed if the caller has run `first_bias_step(MODE_COMM, model)`."""
     if spec.mode != MODE_COMM:
         raise ValueError("solve_p1 needs a comm-centric ProblemSpec")
-    return _solve_bcd(spec, model)
+    return _solve_bcd(spec, model, first_step)
 
 
-def solve_p2(spec: ProblemSpec, model: SystemModel) -> AllocationSolution:
+def solve_p2(spec: ProblemSpec, model: SystemModel, first_step=None) -> AllocationSolution:
     """P2, sensing-centric: max Fisher information subject to a capacity
-    floor (the BCD that `solve_p1` shares, with the sense-mode step)."""
+    floor (the BCD that `solve_p1` shares, with the sense-mode step);
+    `first_step` as in `solve_p1`, of `first_bias_step(MODE_SENSE, model)`."""
     if spec.mode != MODE_SENSE:
         raise ValueError("solve_p2 needs a sensing-centric ProblemSpec")
-    return _solve_bcd(spec, model)
+    return _solve_bcd(spec, model, first_step)

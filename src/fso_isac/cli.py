@@ -1,5 +1,8 @@
 """Command-line entry points: solve, sweep, verify.
 
+A sweep over a floor runs the BCD's first bias search once and shares it
+among its points; nothing is kept from one `main` call to the next.
+
 Exit codes: 0 success, 1 scenario/schema error, 2 infeasible problem,
 3 divergence abort, 4 verification tolerance failure, 64 command-line
 usage error (unknown option, missing or invalid argument).
@@ -16,9 +19,11 @@ import numpy as np
 
 from .allocator import (
     MODE_COMM,
+    MODE_SENSE,
     AllocationSolution,
     DivergenceAborted,
     InfeasibleProblem,
+    first_bias_step,
     solve_bias,
     solve_p1,
     solve_p2,
@@ -28,6 +33,7 @@ from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
 from .system import SystemModel
 
 SWEEP_PARAMS = ("precision_cm", "C0_bpshz", "N_c_dbhz", "N_s_dbhz")
+FLOOR_MODES = {"precision_cm": MODE_COMM, "C0_bpshz": MODE_SENSE}
 SWEEP_COLUMNS = ("param", "value", "status", "case", "b", "C_bps_hz",
                  "precision_cm", "outer_iters", "dual_iters_max", "reason")
 EXIT_USAGE = 64
@@ -84,11 +90,11 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _solve_scenario(scenario: Scenario) -> AllocationSolution:
+def _solve_scenario(scenario: Scenario, first_step=None) -> AllocationSolution:
     model = scenario.model()
     if scenario.problem.mode == MODE_COMM:
-        return solve_p1(scenario.problem, model)
-    return solve_p2(scenario.problem, model)
+        return solve_p1(scenario.problem, model, first_step)
+    return solve_p2(scenario.problem, model, first_step)
 
 
 def _solution_record(scenario: Scenario, sol: AllocationSolution) -> dict:
@@ -158,13 +164,14 @@ def _apply_param(doc: dict, param: str, value: float) -> dict:
     return doc
 
 
-def _sweep_point(scenario_json: str, param: str, value: float) -> dict:
+def _sweep_point(scenario_json: str, param: str, value: float, first_step) -> dict:
+    """One row of sweep.csv; `first_step` is None if the value moves the model."""
     doc = _apply_param(json.loads(scenario_json), param, value)
     scenario = parse_scenario(json.dumps(doc))
     row = dict.fromkeys(SWEEP_COLUMNS, "")
     row.update(param=param, value=value, status="ok")
     try:
-        sol = _solve_scenario(scenario)
+        sol = _solve_scenario(scenario, first_step)
     except InfeasibleProblem as e:
         row.update(status="infeasible", reason=str(e))
         return row
@@ -184,10 +191,16 @@ def _sweep_point(scenario_json: str, param: str, value: float) -> dict:
 
 
 def cmd_sweep(args) -> int:
+    """Solve at each value of one parameter into sweep.csv.  A floor leaves
+    the model as it is, so the BCD's first bias search, the same at every
+    point, runs once here and each point, in-process or in a worker, gets
+    it; a noise value moves the model, so each point runs its own."""
     scenario_json = Path(args.scenario).read_text(encoding="utf-8")
-    parse_scenario(scenario_json)  # validate before dispatching workers
+    base = parse_scenario(scenario_json)  # validate before dispatching workers
     out = _out_dir(args)
-    jobs = [(scenario_json, args.param, v) for v in args.values]
+    mode = FLOOR_MODES.get(args.param)
+    first_step = None if mode is None else first_bias_step(mode, base.model())
+    jobs = [(scenario_json, args.param, v, first_step) for v in args.values]
     if args.workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -61,7 +61,7 @@ from .metrics import crb_distance
 from .ofdm import FrequencyGrid, TimeSignal, generate_frame, to_time_domain
 from .system import SystemModel
 
-# verify_clipping_model compares R_wp on lags 1..VERIFY_LAGS; nominal relative
+# verify_clipping_model compares R_wp on lags 1..VERIFY_LAGS (<= N/2); nominal relative
 # tolerances of the w_p moments, of R_wp(0), and of the lags and the PSD
 VERIFY_LAGS = 32
 TOL_MOMENTS = 0.01
@@ -394,7 +394,7 @@ def verify_clipping_model(
                   guarded(TOL_R0, se_power, stats.r_wp[0], floor_pow)),
     ]
     lag_floor = 0.25 * stats.power_wp + floor_pow
-    for lag in range(1, VERIFY_LAGS + 1):
+    for lag in range(1, min(VERIFY_LAGS, n // 2) + 1):  # lags above N/2 mirror these
         rows.append(
             VerifyRow(
                 f"r_wp_lag{lag}", stats.r_wp[lag], r_emp[lag],

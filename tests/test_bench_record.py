@@ -44,3 +44,10 @@ def test_summary_counts_pairs_by_direction(recorder):
 
 def test_quartiles_of_one_run(recorder):
     assert recorder.quartiles([0.5]) == {"q1": 0.5, "median": 0.5, "q3": 0.5}
+
+
+def test_clipping_stats_timing_of_this_checkout(recorder):
+    timing = recorder.clipping_stats_ms(RECORDER.parent.parent, repeats=3)
+    assert sorted(map(int, timing)) == list(recorder.STATS_SIZES)
+    for row in timing.values():
+        assert 0.0 < row["min_ms"] <= row["median_ms"]

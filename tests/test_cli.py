@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fso_isac import allocator, cli
@@ -284,3 +285,92 @@ def test_sweep_reason_column(scenario_dir, tmp_path):
     # the message holds a comma, which csv quoting keeps inside the field
     assert "," in infeasible["reason"] and "own SNRs" in infeasible["reason"]
     assert ok["status"] == "ok" and ok["reason"] == ""
+
+
+@pytest.fixture
+def bias_searches(monkeypatch):
+    """One entry per solve_bias call, True where the allocation is uniform."""
+    calls = []
+    search = allocator.solve_bias
+
+    def counted(objective, p_norm, model):
+        calls.append(bool(np.all(p_norm == p_norm[0])))
+        return search(objective, p_norm, model)
+
+    monkeypatch.setattr(allocator, "solve_bias", counted)
+    monkeypatch.setattr(cli, "solve_bias", counted)
+    return calls
+
+
+def searches_per_call(bias_searches, argv, calls=2):
+    """(searches, of them at the uniform allocation) of each of `calls`
+    consecutive in-process main(argv) calls."""
+    counts = []
+    for _ in range(calls):
+        bias_searches.clear()
+        assert main(argv) in (0, 4)
+        counts.append((len(bias_searches), sum(bias_searches)))
+    return counts
+
+
+@pytest.mark.parametrize("param, values, searches", [
+    # a cold start at every point would make 7 and 9 searches, 3 of them
+    # at the uniform allocation
+    ("precision_cm", "10.1,12,16", 5),
+    ("C0_bpshz", "0.1,0.3,0.7", 7),
+])
+def test_floor_sweep_searches_uniform_allocation_once(
+        scenario_dir, tmp_path, bias_searches, param, values, searches):
+    # a floor leaves the model as it is, so the first bias search runs once
+    # per sweep call; a second call in the same process runs it again, as
+    # nothing outlives a main call
+    argv = ["sweep", "--scenario", str(scenario_dir / "desk.json"), "--out", str(tmp_path),
+            "--param", param, "--values", values]
+    assert searches_per_call(bias_searches, argv) == [(searches, 1)] * 2
+
+
+def test_noise_sweep_searches_every_point(scenario_dir, tmp_path, bias_searches):
+    # a noise value moves the model: each point runs its own first search
+    argv = ["sweep", "--scenario", str(scenario_dir / "desk.json"), "--out", str(tmp_path),
+            "--param", "N_s_dbhz", "--values=-101,-100,-99"]
+    assert searches_per_call(bias_searches, argv) == [(10, 3)] * 2
+
+
+@pytest.mark.parametrize("command, searches", [
+    (["solve"], 3),
+    # the solve's three, and the CRB probe's search at its own allocation
+    (["verify", "--trials", "2"], 4),
+])
+def test_solve_and_verify_search_as_before(scenario_dir, tmp_path, bias_searches,
+                                           command, searches):
+    argv = [command[0], "--scenario", str(scenario_dir / "desk.json"),
+            "--out", str(tmp_path), *command[1:]]
+    assert searches_per_call(bias_searches, argv) == [(searches, 1)] * 2
+
+
+@pytest.mark.parametrize("name", ["desk_sweep_precision_cm", "desk_sweep_C0_bpshz"])
+def test_sweep_workers_match_in_process(scenario_dir, tmp_path, name):
+    # the pool receives the shared first step as pickled data: its points
+    # must write the in-process bytes, which are the golden ones
+    scenario, (command, *options), (file,) = GOLDEN_RUNS[name]
+    for workers in ("1", "2"):
+        assert main([command, "--scenario", str(scenario_dir / f"{scenario}.json"),
+                     "--out", str(tmp_path / workers), *options, "--workers", workers]) == 0
+    golden = (GOLDEN_DIR / name / file).read_bytes()
+    assert (tmp_path / "1" / file).read_bytes() == golden
+    assert (tmp_path / "2" / file).read_bytes() == golden
+
+
+def test_verify_at_n32_reports_half_the_lags(scenario_dir, tmp_path):
+    # N = 32 has lags 0..31, and those above N/2 mirror the lower ones:
+    # the clipping check compares lags 1..16 and writes its report
+    doc = json.loads((scenario_dir / "desk.json").read_text(encoding="utf-8"))
+    doc["ofdm"]["N"] = 32
+    doc["problem"].update(precision_cm=200.0, p_max=0.2)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", "--scenario", str(path), "--out", str(tmp_path),
+                 "--trials", "2"]) in (0, 4)
+    report = (tmp_path / "clipping_report.csv").read_text(encoding="utf-8")
+    lags = [r.split(",")[0] for r in report.splitlines() if r.startswith("r_wp_lag")]
+    assert lags == [f"r_wp_lag{lag}" for lag in range(17)]

@@ -233,13 +233,19 @@ class TestEstimateTof:
             assert np.argmax(corr) == np.argmax(direct)
 
     def test_fft_len_brute_force(self):
-        limit = 10**5
+        # each 5-smooth s up to the limit with s - 1 and s + 1, where an
+        # off-by-one in a power-of-two step shows, and a seeded sample of
+        # the lengths between them
+        limit = 2 * 10**5
         smooth = np.array(sorted(
             2**a * 3**b * 5**c
             for a in range(19) for b in range(12) for c in range(9)
             if 2**a * 3**b * 5**c <= 2 * limit
         ))
-        ns = np.arange(1, limit + 1)
+        near = smooth[smooth <= limit]
+        sample = np.random.default_rng(24).integers(1, limit + 1, 4000)
+        ns = np.unique(np.concatenate([near - 1, near, near + 1, sample]))[1:]
+        assert ns[0] == 1 and ns.size > 5000
         expected = smooth[np.searchsorted(smooth, ns)]
         assert [_fft_len(int(n)) for n in ns] == expected.tolist()
 

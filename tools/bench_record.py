@@ -9,7 +9,8 @@ interpreter per run, with the run length of BENCHMARK.json unless
 --seconds says otherwise.  WORKLOAD=PAIRS asks for that many pairs of runs;
 the two runs of a pair share a seed, and the revision that runs first
 alternates from pair to pair.  --trace WORKLOAD adds one `--trace 1` run
-per revision.
+per revision.  Each revision also times one `compute_clipping_stats` call
+at N = 256, 1024 and 4096, the per-layer figure no workload measures.
 
 The record keeps every run's last JSON line, with its revision, seed,
 order, exit code and wall time, and the host: CPU count, Python and NumPy
@@ -33,6 +34,32 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+STATS_SIZES = (256, 1024, 4096)
+
+# One clipping-statistics call at each N, in a fresh interpreter on the
+# checkout's src/: power evenly on the lower 70% of the data band (the
+# shape of the CLI's CRB probe) at the desk solution's bias.
+STATS_CODE = """\
+import json, statistics, sys, time
+import numpy as np
+from fso_isac.clipping import compute_clipping_stats
+from fso_isac.config import OfdmConfig
+sizes, repeats = json.loads(sys.argv[1]), int(sys.argv[2])
+out = {}
+for n in sizes:
+    cfg = OfdmConfig(n_symbols=16, n_subcarriers=n, delta_f=2e5, guard_s=2e-6, power_w=1.0)
+    p = np.zeros(cfg.n_data_subcarriers)
+    used = 7 * cfg.n_data_subcarriers // 10
+    p[:used] = 0.5 / used
+    compute_clipping_stats(0.175, p, cfg)
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        compute_clipping_stats(0.175, p, cfg)
+        times.append(1e3 * (time.perf_counter() - start))
+    out[n] = {"median_ms": statistics.median(times), "min_ms": min(times)}
+print(json.dumps(out))
+"""
 
 
 def git(*args) -> str:
@@ -66,6 +93,16 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) 
         result = None
     return {"exit": proc.returncode, "wall_s": round(time.perf_counter() - start, 2),
             "result": result, "log": proc.stderr.strip().splitlines()[-10:]}
+
+
+def clipping_stats_ms(checkout: Path, repeats: int = 101) -> dict:
+    """Median and fastest time in ms of one `compute_clipping_stats` call at
+    each of STATS_SIZES, with BLAS and OpenMP pools on one thread."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", STATS_CODE, json.dumps(STATS_SIZES),
+                           str(repeats)], env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
 
 
 def quartiles(values: list) -> dict:
@@ -144,6 +181,7 @@ def main(argv=None) -> int:
         for workload in args.trace:
             for side in ("base", "head"):
                 run(workload, 0, side, side == "base", 1)
+        stats_ms = {side: clipping_stats_ms(checkouts[side]) for side in revs}
 
     entry = {
         "label": args.label,
@@ -153,6 +191,7 @@ def main(argv=None) -> int:
         "revisions": revs,
         "seconds": args.seconds,
         "summary": summarize(runs, spec["end_to_end"]),
+        "clipping_stats_ms": stats_ms,
         "runs": runs,
     }
     out = ROOT / f"BENCH_{args.label}.json"
