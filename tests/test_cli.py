@@ -176,15 +176,20 @@ GOLDEN_RUNS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
-def test_outputs_match_golden(scenario_dir, tmp_path, name):
+@pytest.mark.parametrize("name, workers", [
+    *(pytest.param(name, [], id=name) for name in sorted(GOLDEN_RUNS)),
+    # the pool receives the sweep's shared first bias step as pickled data
+    *(pytest.param(name, ["--workers", "2"], id=f"{name}-workers2")
+      for name in ("desk_sweep_C0_bpshz", "desk_sweep_precision_cm")),
+])
+def test_outputs_match_golden(scenario_dir, tmp_path, name, workers):
     # solve, sweep and verify outputs byte for byte: a change that should
     # keep the numbers must leave these files as they are; one that moves
     # a digit regenerates them and names the digits that moved
     scenario, argv, files = GOLDEN_RUNS[name]
     command, *options = argv
     assert main([command, "--scenario", str(scenario_dir / f"{scenario}.json"),
-                 "--out", str(tmp_path), *options]) == 0
+                 "--out", str(tmp_path), *options, *workers]) == 0
     for file in files:
         assert (tmp_path / file).read_bytes() == (GOLDEN_DIR / name / file).read_bytes(), file
 
@@ -302,63 +307,28 @@ def bias_searches(monkeypatch):
     return calls
 
 
-def searches_per_call(bias_searches, argv, calls=2):
-    """(searches, of them at the uniform allocation) of each of `calls`
-    consecutive in-process main(argv) calls."""
-    counts = []
-    for _ in range(calls):
-        bias_searches.clear()
-        assert main(argv) in (0, 4)
-        counts.append((len(bias_searches), sum(bias_searches)))
-    return counts
-
-
-@pytest.mark.parametrize("param, values, searches", [
-    # a cold start at every point would make 7 and 9 searches, 3 of them
-    # at the uniform allocation
-    ("precision_cm", "10.1,12,16", 5),
-    ("C0_bpshz", "0.1,0.3,0.7", 7),
-])
-def test_floor_sweep_searches_uniform_allocation_once(
-        scenario_dir, tmp_path, bias_searches, param, values, searches):
-    # a floor leaves the model as it is, so the first bias search runs once
-    # per sweep call; a second call in the same process runs it again, as
-    # nothing outlives a main call
-    argv = ["sweep", "--scenario", str(scenario_dir / "desk.json"), "--out", str(tmp_path),
-            "--param", param, "--values", values]
-    assert searches_per_call(bias_searches, argv) == [(searches, 1)] * 2
-
-
-def test_noise_sweep_searches_every_point(scenario_dir, tmp_path, bias_searches):
+@pytest.mark.parametrize("argv, searches, uniform", [
+    # a floor leaves the model as it is, so the first bias search, at the
+    # uniform allocation, runs once per sweep call; a cold start at every
+    # point would make 7 and 9 searches, 3 of them there
+    (["sweep", "--param", "precision_cm", "--values", "10.1,12,16"], 5, 1),
+    (["sweep", "--param", "C0_bpshz", "--values", "0.1,0.3,0.7"], 7, 1),
     # a noise value moves the model: each point runs its own first search
-    argv = ["sweep", "--scenario", str(scenario_dir / "desk.json"), "--out", str(tmp_path),
-            "--param", "N_s_dbhz", "--values=-101,-100,-99"]
-    assert searches_per_call(bias_searches, argv) == [(10, 3)] * 2
-
-
-@pytest.mark.parametrize("command, searches", [
-    (["solve"], 3),
+    (["sweep", "--param", "N_s_dbhz", "--values=-101,-100,-99"], 10, 3),
+    (["solve"], 3, 1),
     # the solve's three, and the CRB probe's search at its own allocation
-    (["verify", "--trials", "2"], 4),
-])
-def test_solve_and_verify_search_as_before(scenario_dir, tmp_path, bias_searches,
-                                           command, searches):
-    argv = [command[0], "--scenario", str(scenario_dir / "desk.json"),
-            "--out", str(tmp_path), *command[1:]]
-    assert searches_per_call(bias_searches, argv) == [(searches, 1)] * 2
-
-
-@pytest.mark.parametrize("name", ["desk_sweep_precision_cm", "desk_sweep_C0_bpshz"])
-def test_sweep_workers_match_in_process(scenario_dir, tmp_path, name):
-    # the pool receives the shared first step as pickled data: its points
-    # must write the in-process bytes, which are the golden ones
-    scenario, (command, *options), (file,) = GOLDEN_RUNS[name]
-    for workers in ("1", "2"):
-        assert main([command, "--scenario", str(scenario_dir / f"{scenario}.json"),
-                     "--out", str(tmp_path / workers), *options, "--workers", workers]) == 0
-    golden = (GOLDEN_DIR / name / file).read_bytes()
-    assert (tmp_path / "1" / file).read_bytes() == golden
-    assert (tmp_path / "2" / file).read_bytes() == golden
+    (["verify", "--trials", "2"], 4, 1),
+], ids=["sweep-precision_cm", "sweep-C0_bpshz", "sweep-N_s_dbhz", "solve", "verify"])
+def test_bias_searches_per_call(scenario_dir, tmp_path, bias_searches, argv,
+                                searches, uniform):
+    # two calls in one process search as often as each other: nothing
+    # outlives a main call
+    command, *options = argv
+    for _ in range(2):
+        bias_searches.clear()
+        assert main([command, "--scenario", str(scenario_dir / "desk.json"),
+                     "--out", str(tmp_path), *options]) in (0, 4)
+        assert (len(bias_searches), sum(bias_searches)) == (searches, uniform)
 
 
 def test_verify_at_n32_reports_half_the_lags(scenario_dir, tmp_path):
