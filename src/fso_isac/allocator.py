@@ -450,12 +450,12 @@ def _subcarrier_step(comm, gamma_c, gamma_s, floor, p_max):
 
 
 def first_bias_step(mode: str, model: SystemModel):
-    """(b, search info, SNRs at b) of the bias search at the uniform
+    """(mode, b, search info, SNRs at b) of the bias search at the uniform
     allocation that starts every BCD of `mode`; no floor enters it."""
     n = model.cfg.n_data_subcarriers
     p = np.full(n, 0.5 / n)
     b, info = solve_bias("capacity" if mode == MODE_COMM else "fisher", p, model)
-    return b, info, model.snr(b, p)
+    return mode, b, info, model.snr(b, p)
 
 
 def _solve_bcd(spec: ProblemSpec, model: SystemModel, first_step) -> AllocationSolution:
@@ -464,7 +464,10 @@ def _solve_bcd(spec: ProblemSpec, model: SystemModel, first_step) -> AllocationS
     comm = spec.mode == MODE_COMM
     objective = "capacity" if comm else "fisher"
     floor = spec.info_threshold(cfg) if comm else spec.capacity_threshold_nats(cfg)
-    b, bias_info, snr = first_step or first_bias_step(spec.mode, model)
+    step = first_step if first_step is not None else first_bias_step(spec.mode, model)
+    if step[0] != spec.mode:
+        raise ValueError(f"first_step is of mode '{step[0]}', the problem of '{spec.mode}'")
+    _, b, bias_info, snr = step
     trace = SolveTrace()
     obj_prev = None
     eps = None
@@ -529,8 +532,8 @@ def _solve_bcd(spec: ProblemSpec, model: SystemModel, first_step) -> AllocationS
 
 def solve_p1(spec: ProblemSpec, model: SystemModel, first_step=None) -> AllocationSolution:
     """P1, communication-centric: max C subject to the sensing floor (the
-    BCD that `solve_p2` shares, with the comm-mode step); `first_step` is
-    passed if the caller has run `first_bias_step(MODE_COMM, model)`."""
+    BCD that `solve_p2` shares, with the comm-mode step); `first_step`, if
+    given, is `first_bias_step(MODE_COMM, model)`, and another mode's raises."""
     if spec.mode != MODE_COMM:
         raise ValueError("solve_p1 needs a comm-centric ProblemSpec")
     return _solve_bcd(spec, model, first_step)

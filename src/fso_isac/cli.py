@@ -19,7 +19,6 @@ import numpy as np
 
 from .allocator import (
     MODE_COMM,
-    MODE_SENSE,
     AllocationSolution,
     DivergenceAborted,
     InfeasibleProblem,
@@ -29,11 +28,11 @@ from .allocator import (
     solve_p2,
 )
 from .monte_carlo import McCampaign, rmse_vs_crb, verify_clipping_model
-from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
+from .scenario import MODES, Scenario, ScenarioError, load_scenario, parse_scenario
 from .system import SystemModel
 
 SWEEP_PARAMS = ("precision_cm", "C0_bpshz", "N_c_dbhz", "N_s_dbhz")
-FLOOR_MODES = {"precision_cm": MODE_COMM, "C0_bpshz": MODE_SENSE}
+FLOOR_MODES = {"precision_cm": "CommCentric", "C0_bpshz": "SensingCentric"}
 SWEEP_COLUMNS = ("param", "value", "status", "case", "b", "C_bps_hz",
                  "precision_cm", "outer_iters", "dual_iters_max", "reason")
 EXIT_USAGE = 64
@@ -149,14 +148,9 @@ def cmd_solve(args) -> int:
 
 def _apply_param(doc: dict, param: str, value: float) -> dict:
     doc = json.loads(json.dumps(doc))
-    if param == "precision_cm":
-        doc["problem"]["mode"] = "CommCentric"
-        doc["problem"]["precision_cm"] = value
-        doc["problem"].pop("C0_bpshz", None)
-    elif param == "C0_bpshz":
-        doc["problem"]["mode"] = "SensingCentric"
-        doc["problem"]["C0_bpshz"] = value
-        doc["problem"].pop("precision_cm", None)
+    if param in FLOOR_MODES:  # a floor sets the mode it bounds and drops the other floor
+        doc["problem"] = {k: v for k, v in doc["problem"].items() if k not in FLOOR_MODES}
+        doc["problem"].update({"mode": FLOOR_MODES[param], param: value})
     elif param in ("N_c_dbhz", "N_s_dbhz"):
         doc["noise"][param] = value
     else:
@@ -199,7 +193,7 @@ def cmd_sweep(args) -> int:
     base = parse_scenario(scenario_json)  # validate before dispatching workers
     out = _out_dir(args)
     mode = FLOOR_MODES.get(args.param)
-    first_step = None if mode is None else first_bias_step(mode, base.model())
+    first_step = None if mode is None else first_bias_step(MODES[mode], base.model())
     jobs = [(scenario_json, args.param, v, first_step) for v in args.values]
     if args.workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor

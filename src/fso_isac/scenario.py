@@ -60,7 +60,7 @@ _OPTIONAL = {
     ("mc",),
 }
 
-_MODES = {"CommCentric": MODE_COMM, "SensingCentric": MODE_SENSE}
+MODES = {"CommCentric": MODE_COMM, "SensingCentric": MODE_SENSE}
 
 
 class ScenarioError(ValueError):
@@ -164,11 +164,11 @@ def parse_scenario(text: str) -> Scenario:
     )
 
     p = doc["problem"]
-    if p["mode"] not in _MODES:
+    if p["mode"] not in MODES:
         raise ScenarioError(
             f"'problem.mode' must be CommCentric or SensingCentric{_line_of('mode', text)}"
         )
-    mode = _MODES[p["mode"]]
+    mode = MODES[p["mode"]]
     if mode == MODE_COMM:
         if p.get("precision_cm") is None:
             raise ScenarioError("CommCentric mode needs 'problem.precision_cm'")

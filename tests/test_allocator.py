@@ -11,6 +11,8 @@ from fso_isac.allocator import (
     CASE_C,
     CASE_D,
     CASE_F,
+    MODE_COMM,
+    MODE_SENSE,
     DualIterationError,
     InfeasibleProblem,
     ProblemSpec,
@@ -20,6 +22,7 @@ from fso_isac.allocator import (
     _subcarrier_weights,
     dual_iterate_comm,
     dual_iterate_sense,
+    first_bias_step,
     golden_section_max,
     sensing_lp,
     solve_bias,
@@ -462,6 +465,15 @@ class TestSolveP1P2:
             solve_p1(spec, desk_model)
         with pytest.raises(ValueError):
             solve_p2(_desk_spec_comm(desk_model, 0.12), desk_model)
+        # a shared first step carries its mode: the capacity search's step
+        # is refused by a sensing solve, and its own gives the cold solve
+        spec = ProblemSpec(mode="sense", p_max=0.04, c0_bps_hz=0.3)
+        with pytest.raises(ValueError, match="first_step"):
+            solve_p2(spec, desk_model, first_bias_step(MODE_COMM, desk_model))
+        shared = solve_p2(spec, desk_model, first_bias_step(MODE_SENSE, desk_model))
+        cold = solve_p2(spec, desk_model)
+        assert shared.b_opt == cold.b_opt and shared.iterations == cold.iterations
+        assert np.array_equal(shared.p_norm, cold.p_norm)
 
     def test_problem_spec_validation(self, desk_cfg):
         with pytest.raises(ValueError):

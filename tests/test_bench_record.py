@@ -47,7 +47,7 @@ def test_quartiles_of_one_run(recorder):
 
 
 def test_clipping_stats_timing_of_this_checkout(recorder):
-    timing = recorder.clipping_stats_ms(RECORDER.parent.parent, repeats=3)
+    timing = recorder.clipping_stats_ms(RECORDER.parent.parent)
     assert sorted(map(int, timing)) == list(recorder.STATS_SIZES)
     for row in timing.values():
         assert 0.0 < row["min_ms"] <= row["median_ms"]

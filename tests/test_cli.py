@@ -307,27 +307,28 @@ def bias_searches(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("argv, searches, uniform", [
+@pytest.mark.parametrize("argv, codes, searches, uniform", [
     # a floor leaves the model as it is, so the first bias search, at the
     # uniform allocation, runs once per sweep call; a cold start at every
     # point would make 7 and 9 searches, 3 of them there
-    (["sweep", "--param", "precision_cm", "--values", "10.1,12,16"], 5, 1),
-    (["sweep", "--param", "C0_bpshz", "--values", "0.1,0.3,0.7"], 7, 1),
+    (["sweep", "--param", "precision_cm", "--values", "10.1,12,16"], (0,), 5, 1),
+    (["sweep", "--param", "C0_bpshz", "--values", "0.1,0.3,0.7"], (0,), 7, 1),
     # a noise value moves the model: each point runs its own first search
-    (["sweep", "--param", "N_s_dbhz", "--values=-101,-100,-99"], 10, 3),
-    (["solve"], 3, 1),
-    # the solve's three, and the CRB probe's search at its own allocation
-    (["verify", "--trials", "2"], 4, 1),
+    (["sweep", "--param", "N_s_dbhz", "--values=-101,-100,-99"], (0,), 10, 3),
+    (["solve"], (0,), 3, 1),
+    # the solve's three, and the CRB probe's search at its own allocation;
+    # two trials may miss a tolerance, which is exit 4
+    (["verify", "--trials", "2"], (0, 4), 4, 1),
 ], ids=["sweep-precision_cm", "sweep-C0_bpshz", "sweep-N_s_dbhz", "solve", "verify"])
 def test_bias_searches_per_call(scenario_dir, tmp_path, bias_searches, argv,
-                                searches, uniform):
+                                codes, searches, uniform):
     # two calls in one process search as often as each other: nothing
     # outlives a main call
     command, *options = argv
     for _ in range(2):
         bias_searches.clear()
         assert main([command, "--scenario", str(scenario_dir / "desk.json"),
-                     "--out", str(tmp_path), *options]) in (0, 4)
+                     "--out", str(tmp_path), *options]) in codes
         assert (len(bias_searches), sum(bias_searches)) == (searches, uniform)
 
 

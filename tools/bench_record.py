@@ -44,7 +44,7 @@ import json, statistics, sys, time
 import numpy as np
 from fso_isac.clipping import compute_clipping_stats
 from fso_isac.config import OfdmConfig
-sizes, repeats = json.loads(sys.argv[1]), int(sys.argv[2])
+sizes = json.loads(sys.argv[1])
 out = {}
 for n in sizes:
     cfg = OfdmConfig(n_symbols=16, n_subcarriers=n, delta_f=2e5, guard_s=2e-6, power_w=1.0)
@@ -53,7 +53,7 @@ for n in sizes:
     p[:used] = 0.5 / used
     compute_clipping_stats(0.175, p, cfg)
     times = []
-    for _ in range(repeats):
+    for _ in range(101):
         start = time.perf_counter()
         compute_clipping_stats(0.175, p, cfg)
         times.append(1e3 * (time.perf_counter() - start))
@@ -95,13 +95,13 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) 
             "result": result, "log": proc.stderr.strip().splitlines()[-10:]}
 
 
-def clipping_stats_ms(checkout: Path, repeats: int = 101) -> dict:
-    """Median and fastest time in ms of one `compute_clipping_stats` call at
-    each of STATS_SIZES, with BLAS and OpenMP pools on one thread."""
+def clipping_stats_ms(checkout: Path) -> dict:
+    """Median and fastest of 101 timed `compute_clipping_stats` calls, in ms,
+    at each of STATS_SIZES, with BLAS and OpenMP pools on one thread."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", STATS_CODE, json.dumps(STATS_SIZES),
-                           str(repeats)], env=env, capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", STATS_CODE, json.dumps(STATS_SIZES)],
+                          env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
 
