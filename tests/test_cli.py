@@ -173,6 +173,11 @@ GOLDEN_RUNS = {
                  "--values", "0.1,0.3,0.4,0.5,0.6,0.7,0.8"], ("sweep.csv",)),
     "reference_verify_trials8": (
         "reference", ["verify", "--trials", "8"], ("rmse_report.csv", "clipping_report.csv")),
+    # P2: case F with four coupled steps, so the psi_0 rule is pinned too
+    "desk_sense_solve": ("desk_sense", ["solve"], ("solution.json", "allocation.csv")),
+    "desk_sense_verify_trials40_seed401": (
+        "desk_sense", ["verify", "--trials", "40", "--seed", "401"],
+        ("rmse_report.csv", "clipping_report.csv")),
 }
 
 
