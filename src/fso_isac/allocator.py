@@ -18,7 +18,10 @@ dual eta a root-find on the budget level mu(eta) spends the power to
 within POWER_SUM_TOL, and a root-find on eta (`_coupled`) meets the floor.
 Both levels use one bracketed root-finder that returns the feasible end of
 its final bracket with the allocation evaluated there, so the returned
-allocation meets the budget and the floor by construction.
+allocation meets the budget and the floor by construction.  Both KKT rules
+are one closed form (`_kkt_rule`), built once per eta: the terms that do
+not depend on mu and the bracket of the budget level are computed there,
+and each mu evaluation is one clamped reciprocal.
 
 Internally the capacity constraint is handled in nats so the KKT allocation
 rules keep their clean algebraic form; reported spectral efficiencies are
@@ -226,18 +229,26 @@ def solve_bias(objective: str, p_norm: np.ndarray, model: SystemModel):
     return b_star, {"evals": evals + 17, "grid_fallback": fallback}
 
 
-def _fill(mu, scale, shift, gamma_c, p_max):
-    """Shared KKT rule p = {scale / max(mu - shift, scale / (p_max + 1/g_c)) - 1/g_c}^+.
+def _kkt_rule(scale, shift, gamma_c, p_max):
+    """Shared KKT rule p(mu) = {scale / max(mu - shift, cap) - 1/g_c}^+, capped at p_max.
 
     scale = 1, shift = eta k^2 g_s is the xi_0 (comm) rule; scale = eta,
-    shift = k^2 g_s is the psi_0 (sense) rule.  The level floor caps p at
-    p_max, and a level at or above scale g_c gives p = 0.
+    shift = k^2 g_s is the psi_0 (sense) rule.  The level floor
+    cap = scale / (p_max + 1/g_c) gives p = p_max, and a level at or above
+    scale g_c gives p = 0.  Everything that does not depend on mu is built
+    here, once per (scale, shift).  Returns (fill, lo, hi): fill(mu) is the
+    allocation at level mu, and [lo, hi] brackets the levels, from every
+    bin at its cap (sum p = n p_max) to every bin at zero.
     """
     if scale <= 0:
         raise ValueError("the rule needs scale > 0; the eta = 0 limit of psi_0 is the sensing LP")
     inv_gc = 1.0 / gamma_c
-    level = np.maximum(mu - shift, scale / (p_max + inv_gc))
-    return np.clip(scale / level - inv_gc, 0.0, p_max)
+    cap = scale / (p_max + inv_gc)
+
+    def fill(mu):
+        return np.minimum(np.maximum(scale / np.maximum(mu - shift, cap) - inv_gc, 0.0), p_max)
+
+    return fill, float(np.min(shift + cap)), float(np.max(shift + scale * gamma_c))
 
 
 def _feasible_root(f, lo, f_lo, hi, f_hi, at_hi, tol):
@@ -287,12 +298,11 @@ def _budget_level(scale, shift, gamma_c, p_max):
     POWER_SUM_TOL of the budget or its bracket is two adjacent floats.
     Returns (mu, p).
     """
-    lo = float(np.min(shift + scale / (p_max + 1.0 / gamma_c)))
-    hi = float(np.max(shift + scale * gamma_c))
+    fill, lo, hi = _kkt_rule(scale, shift, gamma_c, p_max)
 
     def unspent(mu):
-        p = _fill(mu, scale, shift, gamma_c, p_max)
-        return 0.5 - float(np.sum(p)), p
+        p = fill(mu)
+        return 0.5 - float(p.sum()), p
 
     mu, p = _feasible_root(unspent, lo, 0.5 - gamma_c.size * p_max, hi, *unspent(hi),
                            POWER_SUM_TOL)
@@ -302,7 +312,7 @@ def _budget_level(scale, shift, gamma_c, p_max):
         # moves sum p by more than the tolerance.  The root lies between
         # them, and so does each p at the root: take the point of the
         # segment from p(mu) to p(mu - ulp) that spends the budget.
-        p_below = _fill(math.nextafter(mu, -math.inf), scale, shift, gamma_c, p_max)
+        p_below = fill(math.nextafter(mu, -math.inf))
         p = p + (0.5 - p.sum()) / (p_below.sum() - p.sum()) * (p_below - p)
     if abs(p.sum() - 0.5) > POWER_SUM_TOL:
         raise RuntimeError("budget level failed to meet the power sum")
@@ -353,8 +363,8 @@ def _floored(comm, gamma_c, k2gs, p):
     """The floored metric of an allocation: the information sum k^2 g_s p
     for comm, the capacity sum ln(1 + g_c p) in nats for sense."""
     if comm:
-        return float(np.sum(k2gs * p))
-    return float(np.sum(np.log1p(gamma_c * p)))
+        return float((k2gs * p).sum())
+    return float(np.log1p(gamma_c * p).sum())
 
 
 def _coupled(comm, gamma_c, k2gs, floor, p_max, s0, eta, trace):

@@ -1,9 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from fso_isac import allocator
 from fso_isac.allocator import (
@@ -17,7 +18,7 @@ from fso_isac.allocator import (
     InfeasibleProblem,
     ProblemSpec,
     _budget_level,
-    _fill,
+    _kkt_rule,
     _subcarrier_step,
     _subcarrier_weights,
     dual_iterate_comm,
@@ -322,10 +323,10 @@ N16_K2GS = _subcarrier_weights(7) * N16_GAMMA_S
 N16_DUALS = {
     # dual solver, its allocation rule p(mu, eta), the floored metric, the floor
     "comm": (comm_duals,
-             lambda mu, eta: _fill(mu, 1.0, eta * N16_K2GS, N16_GAMMA_C, N16_P_MAX),
+             lambda mu, eta: _kkt_rule(1.0, eta * N16_K2GS, N16_GAMMA_C, N16_P_MAX)[0](mu),
              lambda p: float(np.sum(N16_K2GS * p)), N16_INFO_TARGET),
     "sense": (sense_duals,
-              lambda mu, eta: _fill(mu, eta, N16_K2GS, N16_GAMMA_C, N16_P_MAX),
+              lambda mu, eta: _kkt_rule(eta, N16_K2GS, N16_GAMMA_C, N16_P_MAX)[0](mu),
               lambda p: float(np.sum(np.log1p(N16_GAMMA_C * p))), N16_CAP_TARGET_NATS),
 }
 
@@ -487,6 +488,14 @@ class TestSolveP1P2:
             spec.validate_against(desk_cfg)
 
 
+def closed_form_rule(mu, scale, shift, gamma_c, p_max):
+    """p = {scale / max(mu - shift, scale / (p_max + 1/g_c)) - 1/g_c}^+ capped
+    at p_max, evaluated whole at each level: the oracle of `_kkt_rule`."""
+    inv_gc = 1.0 / gamma_c
+    level = np.maximum(mu - shift, scale / (p_max + inv_gc))
+    return np.clip(scale / level - inv_gc, 0.0, p_max)
+
+
 class TestAllocationRules:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), eta=st.floats(0.0, 1.0))
@@ -496,10 +505,33 @@ class TestAllocationRules:
         gamma_c = rng.uniform(0.1, 100, n)
         gamma_s = rng.uniform(0.1, 100, n)
         k2gs = _subcarrier_weights(n) * gamma_s
-        p = _fill(rng.uniform(0.1, 50), 1.0, eta * k2gs, gamma_c, 0.1)
+        fill, _, _ = _kkt_rule(1.0, eta * k2gs, gamma_c, 0.1)
+        p = fill(rng.uniform(0.1, 50))
         assert np.all(p >= 0) and np.all(p <= 0.1 + 1e-12)
 
     def test_sense_rule_requires_positive_eta(self):
-        with pytest.raises(ValueError):
-            # psi_0 rule at eta = 0: scale eta, shift k^2 g_s
-            _fill(1.0, 0.0, _subcarrier_weights(3) * np.ones(3), np.ones(3), 0.2)
+        for scale in (0.0, -0.0, -1e-300, -2.0):
+            with pytest.raises(ValueError):
+                # psi_0 rule at eta <= 0: scale eta, shift k^2 g_s
+                _kkt_rule(scale, _subcarrier_weights(3) * np.ones(3), np.ones(3), 0.2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rule=st.sampled_from(["comm", "sense", "waterfill"]),
+           log_eta=st.floats(-6.0, 6.0), p_max=st.floats(0.005, 0.25), n=st.integers(1, 64))
+    def test_rule_matches_closed_form_bit_for_bit(self, seed, rule, log_eta, p_max, n):
+        # the rule built once per (scale, shift) rounds as the one-line
+        # closed form does, at levels below, inside and above its bracket
+        rng = np.random.default_rng(seed)
+        gamma_c = 10.0 ** rng.uniform(-2.0, 4.0, n)
+        k2gs = _subcarrier_weights(n) * 10.0 ** rng.uniform(-2.0, 4.0, n)
+        eta = 10.0**log_eta
+        scale, shift = {"comm": (1.0, eta * k2gs), "sense": (eta, k2gs),
+                        "waterfill": (1.0, 0.0)}[rule]
+        fill, lo, hi = _kkt_rule(scale, shift, gamma_c, p_max)
+        assert lo == float(np.min(shift + scale / (p_max + 1.0 / gamma_c)))
+        assert hi == float(np.max(shift + scale * gamma_c))
+        levels = [0.5 * lo, math.nextafter(lo, 0.0), lo, math.nextafter(lo, math.inf),
+                  *(lo + (hi - lo) * rng.uniform(size=8)),
+                  math.nextafter(hi, 0.0), hi, math.nextafter(hi, math.inf), 2.0 * hi]
+        for mu in levels:
+            assert_array_equal(fill(mu), closed_form_rule(mu, scale, shift, gamma_c, p_max))
