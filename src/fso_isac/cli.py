@@ -46,16 +46,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _trial_count(text: str) -> int:
-    """--trials value: an integer of at least 2, the fewest frames whose
-    spread the clipping check can estimate."""
-    try:
-        trials = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if trials < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2, got {trials}")
-    return trials
+def _int_at_least(minimum: int):
+    """argparse type of an integer of at least `minimum`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _value_list(text: str) -> list:
@@ -307,9 +310,11 @@ def main(argv=None) -> int:
 
     p_verify = sub.add_parser("verify", help="Monte Carlo verification reports")
     common(p_verify)
-    p_verify.add_argument("--seed", type=int, default=None,
-                          help="override the scenario Monte Carlo seed")
-    p_verify.add_argument("--trials", type=_trial_count, default=None,
+    # a seed is SeedSequence entropy, a non-negative integer; 2 frames are
+    # the fewest whose spread the clipping check can estimate
+    p_verify.add_argument("--seed", type=_int_at_least(0), default=None,
+                          help="override the scenario Monte Carlo seed (at least 0)")
+    p_verify.add_argument("--trials", type=_int_at_least(2), default=None,
                           help="override the scenario trial count (at least 2)")
 
     args = parser.parse_args(argv)

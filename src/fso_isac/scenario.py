@@ -187,6 +187,8 @@ def parse_scenario(text: str) -> Scenario:
     if "mc" in doc:
         if doc["mc"]["trials"] < 2:
             raise ScenarioError(f"'mc.trials' must be at least 2{_line_of('trials', text)}")
+        if doc["mc"]["seed"] < 0:
+            raise ScenarioError(f"'mc.seed' must be at least 0{_line_of('seed', text)}")
         mc = McSettings(trials=doc["mc"]["trials"], seed=doc["mc"]["seed"])
     return Scenario(cfg=cfg, chan=chan, problem=problem, mc=mc)
 

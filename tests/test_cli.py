@@ -215,6 +215,17 @@ def test_exit_64_verify_too_few_trials(scenario_dir, tmp_path, trials):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("seed", ["-3", "-1"])
+def test_exit_64_verify_negative_seed(scenario_dir, tmp_path, seed):
+    proc = run_cli("verify", "--scenario", str(scenario_dir / "desk.json"),
+                   "--out", str(tmp_path), "--trials", "2", "--seed", seed)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr.startswith("usage: fso-isac verify")
+    assert f"argument --seed: must be at least 0, got {seed}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("values, message", [
     (["--values", "abc"], "argument --values: invalid number list: 'abc'"),
     (["--values", ","], "argument --values: needs at least one value"),
@@ -243,19 +254,35 @@ def test_sweep_range(scenario_dir, tmp_path):
     assert [(r["value"], r["status"]) for r in rows] == [("12.0", "ok"), ("16.0", "ok")]
 
 
-def test_exit_1_scenario_too_few_trials(scenario_dir, tmp_path):
+def verify_with_mc_entry(scenario_dir, tmp_path, key, value):
+    """`verify` on desk with mc.<key> set to value: exit 1 with a scenario
+    error naming the key's line, and no output directory.  Returns stderr."""
     doc = json.loads((scenario_dir / "desk.json").read_text(encoding="utf-8"))
-    doc["mc"]["trials"] = 1
+    doc["mc"][key] = value
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     line = 1 + next(i for i, text in enumerate(path.read_text(encoding="utf-8").splitlines())
-                    if '"trials"' in text)
+                    if f'"{key}"' in text)
     out = tmp_path / "out"
     proc = run_cli("verify", "--scenario", str(path), "--out", str(out))
     assert proc.returncode == 1
-    assert f"scenario error: 'mc.trials' must be at least 2 (line {line})" in proc.stderr
+    assert f"(line {line})" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+    return proc.stderr
+
+
+def test_exit_1_scenario_too_few_trials(scenario_dir, tmp_path):
+    err = verify_with_mc_entry(scenario_dir, tmp_path, "trials", 1)
+    assert "scenario error: 'mc.trials' must be at least 2 (line" in err
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**40)])
+def test_exit_1_scenario_negative_seed(scenario_dir, tmp_path, seed):
+    # SeedSequence takes no negative entropy; the scenario is refused
+    # before the solve, as mc.trials is
+    err = verify_with_mc_entry(scenario_dir, tmp_path, "seed", seed)
+    assert "scenario error: 'mc.seed' must be at least 0 (line" in err
 
 
 def test_usage_error_exit_code(scenario_dir, tmp_path):
