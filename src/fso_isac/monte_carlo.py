@@ -129,11 +129,7 @@ def _trial_generators(key: tuple, trials: range) -> list:
     for k in key:
         if k < 0:
             raise ValueError(f"seed entries must be non-negative, got {k}")
-        while True:
-            words.append(k & 0xFFFFFFFF)
-            k >>= 32
-            if not k:
-                break
+        words += [(k >> shift) & 0xFFFFFFFF for shift in range(0, max(k.bit_length(), 1), 32)]
     return [np.random.default_rng(np.array([*words, t], dtype=np.uint32)) for t in trials]
 
 

@@ -51,3 +51,10 @@ def test_clipping_stats_timing_of_this_checkout(recorder):
     assert sorted(map(int, timing)) == list(recorder.STATS_SIZES)
     for row in timing.values():
         assert 0.0 < row["min_ms"] <= row["median_ms"]
+
+
+def test_dual_solve_timing_of_this_checkout(recorder):
+    timing = recorder.dual_solve_ms(RECORDER.parent.parent)
+    assert sorted(timing) == ["comm", "sense"]
+    for row in timing.values():
+        assert 0.0 < row["min_ms"] <= row["median_ms"]

@@ -9,8 +9,9 @@ interpreter per run, with the run length of BENCHMARK.json unless
 --seconds says otherwise.  WORKLOAD=PAIRS asks for that many pairs of runs;
 the two runs of a pair share a seed, and the revision that runs first
 alternates from pair to pair.  --trace WORKLOAD adds one `--trace 1` run
-per revision.  Each revision also times one `compute_clipping_stats` call
-at N = 256, 1024 and 4096, the per-layer figure no workload measures.
+per revision.  Each revision also times two per-layer figures that no
+workload measures: one `compute_clipping_stats` call at N = 256, 1024 and
+4096, and one dual solve of each mode on desk.
 
 The record keeps every run's last JSON line, with its revision, seed,
 order, exit code and wall time, and the host: CPU count, Python and NumPy
@@ -62,6 +63,46 @@ print(json.dumps(out))
 """
 
 
+# One dual_iterate_comm and one dual_iterate_sense call, each timed the
+# same way, on the checkout's scenarios/desk.json SNRs at the uniform
+# allocation and the desk solution's bias.  The floors (12 cm, 0.5 bps/Hz,
+# those of the desk solve and the desk P2 sweep) are in the coupled case
+# there, which the code checks before timing.
+DUAL_CODE = """\
+import json, statistics, sys, time
+import numpy as np
+from fso_isac.allocator import (ProblemSpec, dual_iterate_comm, dual_iterate_sense,
+                                sensing_lp, waterfill_comm)
+from fso_isac.scenario import load_scenario
+model = load_scenario(sys.argv[1]).model()
+cfg, p_max = model.cfg, 0.04
+n = cfg.n_data_subcarriers
+snr = model.snr(0.175, np.full(n, 0.5 / n))
+gamma_c, k2gs = snr.gamma_c, np.arange(1, n + 1.0) ** 2 * snr.gamma_s
+p_wf, mu0 = waterfill_comm(gamma_c, p_max)
+p_lp = sensing_lp(snr.gamma_s, p_max)
+info = ProblemSpec.comm_centric(0.12, p_max).info_threshold(cfg)
+cap = ProblemSpec.sensing_centric(0.5, p_max).capacity_threshold_nats(cfg)
+s0, c0 = float(np.sum(k2gs * p_wf)), float(np.sum(np.log1p(gamma_c * p_lp)))
+if not s0 < info <= float(np.sum(k2gs * p_lp)):
+    raise SystemExit("the comm floor is not in the coupled case")
+if not c0 < cap <= float(np.sum(np.log1p(gamma_c * p_wf))):
+    raise SystemExit("the sense floor is not in the coupled case")
+calls = {"comm": lambda: dual_iterate_comm(gamma_c, k2gs, info, p_max, s0, mu0),
+         "sense": lambda: dual_iterate_sense(gamma_c, k2gs, cap, p_max, c0)}
+out = {}
+for name, call in calls.items():
+    call()
+    times = []
+    for _ in range(101):
+        start = time.perf_counter()
+        call()
+        times.append(1e3 * (time.perf_counter() - start))
+    out[name] = {"median_ms": statistics.median(times), "min_ms": min(times)}
+print(json.dumps(out))
+"""
+
+
 def git(*args) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True,
                           text=True, check=True).stdout.strip()
@@ -95,14 +136,26 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) 
             "result": result, "log": proc.stderr.strip().splitlines()[-10:]}
 
 
-def clipping_stats_ms(checkout: Path) -> dict:
-    """Median and fastest of 101 timed `compute_clipping_stats` calls, in ms,
-    at each of STATS_SIZES, with BLAS and OpenMP pools on one thread."""
+def layer_timing(checkout: Path, code: str, arg: str) -> dict:
+    """The JSON that `code` prints when run with argument `arg` in a fresh
+    interpreter on the checkout's src/, BLAS and OpenMP pools on one thread."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", STATS_CODE, json.dumps(STATS_SIZES)],
+    proc = subprocess.run([sys.executable, "-c", code, arg],
                           env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
+
+
+def clipping_stats_ms(checkout: Path) -> dict:
+    """Median and fastest of 101 timed `compute_clipping_stats` calls, in ms,
+    at each of STATS_SIZES."""
+    return layer_timing(checkout, STATS_CODE, json.dumps(STATS_SIZES))
+
+
+def dual_solve_ms(checkout: Path) -> dict:
+    """Median and fastest of 101 timed calls of `dual_iterate_comm` and of
+    `dual_iterate_sense` on desk, in ms: the north star's one dual solve."""
+    return layer_timing(checkout, DUAL_CODE, str(checkout / "scenarios" / "desk.json"))
 
 
 def quartiles(values: list) -> dict:
@@ -182,6 +235,7 @@ def main(argv=None) -> int:
             for side in ("base", "head"):
                 run(workload, 0, side, side == "base", 1)
         stats_ms = {side: clipping_stats_ms(checkouts[side]) for side in revs}
+        dual_ms = {side: dual_solve_ms(checkouts[side]) for side in revs}
 
     entry = {
         "label": args.label,
@@ -192,6 +246,7 @@ def main(argv=None) -> int:
         "seconds": args.seconds,
         "summary": summarize(runs, spec["end_to_end"]),
         "clipping_stats_ms": stats_ms,
+        "dual_solve_ms": dual_ms,
         "runs": runs,
     }
     out = ROOT / f"BENCH_{args.label}.json"
