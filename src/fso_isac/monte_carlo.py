@@ -119,20 +119,6 @@ def _chunks(items: range, size: int):
     return (items[i : i + size] for i in range(0, len(items), size))
 
 
-def _trial_generators(key: tuple, trials: range) -> list:
-    """One generator per trial t, each the one `np.random.default_rng([*key, t])`
-    makes.  SeedSequence reads that list as the uint32 words of its entries,
-    each non-negative int little end first and at least one word long, and
-    takes a uint32 array of those words as it is, without the per-entry
-    coercion; t is below 2**32."""
-    words = []
-    for k in key:
-        if k < 0:
-            raise ValueError(f"seed entries must be non-negative, got {k}")
-        words += [(k >> shift) & 0xFFFFFFFF for shift in range(0, max(k.bit_length(), 1), 32)]
-    return [np.random.default_rng(np.array([*words, t], dtype=np.uint32)) for t in trials]
-
-
 def _correlate_symbols(windows: np.ndarray, cores: np.ndarray, max_lag: int) -> np.ndarray:
     """Sum over symbols m of the linear cross-correlations
     sum_j cores[..., m, j] windows[..., m, j + lag] on lags [0, max_lag),
@@ -252,7 +238,7 @@ def rmse_vs_crb(
         first = members.start
         corr = np.empty((2, len(members), cp))
         for trials in _chunks(members, block):
-            rngs = _trial_generators((campaign.rng_seed, 0), trials)
+            rngs = [np.random.default_rng([campaign.rng_seed, 0, t]) for t in trials]
             grid = generate_frame(cfg, p_norm, rng_seed=rngs, bias=b)
             padded = buf[:, : len(trials)]
             streams = padded[..., :size]
@@ -348,7 +334,7 @@ def verify_clipping_model(
     sum_xx, sum_xxp, sum_wp2, sum_wx, sum_wp = np.empty((5, trials))
     psd_sum, psd_sumsq = np.zeros((2, n // 2 + 1))
     for block in _chunks(range(trials), max(1, BLOCK_SAMPLES // (cfg.n_symbols * n))):
-        rngs = _trial_generators((seed,), block)
+        rngs = [np.random.default_rng([seed, t]) for t in block]
         grid = generate_frame(cfg, p_norm, rng_seed=rngs, bias=b)
         x = to_time_domain(grid, cfg).cores
         xp = np.maximum(x + b, 0.0)

@@ -254,9 +254,9 @@ def test_sweep_range(scenario_dir, tmp_path):
     assert [(r["value"], r["status"]) for r in rows] == [("12.0", "ok"), ("16.0", "ok")]
 
 
-def verify_with_mc_entry(scenario_dir, tmp_path, key, value):
-    """`verify` on desk with mc.<key> set to value: exit 1 with a scenario
-    error naming the key's line, and no output directory.  Returns stderr."""
+def verify_with_mc_entry(scenario_dir, tmp_path, key, value, minimum):
+    """`verify` on desk with mc.<key> set to value exits 1 with the scenario
+    error that names the key's minimum and line, and writes no output."""
     doc = json.loads((scenario_dir / "desk.json").read_text(encoding="utf-8"))
     doc["mc"][key] = value
     path = tmp_path / "scenario.json"
@@ -266,23 +266,21 @@ def verify_with_mc_entry(scenario_dir, tmp_path, key, value):
     out = tmp_path / "out"
     proc = run_cli("verify", "--scenario", str(path), "--out", str(out))
     assert proc.returncode == 1
-    assert f"(line {line})" in proc.stderr
+    assert (f"scenario error: 'mc.{key}' must be at least {minimum} (line {line})"
+            in proc.stderr)
     assert "Traceback" not in proc.stderr
     assert not out.exists()
-    return proc.stderr
 
 
 def test_exit_1_scenario_too_few_trials(scenario_dir, tmp_path):
-    err = verify_with_mc_entry(scenario_dir, tmp_path, "trials", 1)
-    assert "scenario error: 'mc.trials' must be at least 2 (line" in err
+    verify_with_mc_entry(scenario_dir, tmp_path, "trials", 1, minimum=2)
 
 
 @pytest.mark.parametrize("seed", [-1, -(2**40)])
 def test_exit_1_scenario_negative_seed(scenario_dir, tmp_path, seed):
     # SeedSequence takes no negative entropy; the scenario is refused
     # before the solve, as mc.trials is
-    err = verify_with_mc_entry(scenario_dir, tmp_path, "seed", seed)
-    assert "scenario error: 'mc.seed' must be at least 0 (line" in err
+    verify_with_mc_entry(scenario_dir, tmp_path, "seed", seed, minimum=0)
 
 
 def test_usage_error_exit_code(scenario_dir, tmp_path):

@@ -17,7 +17,6 @@ from fso_isac.monte_carlo import (
     _correlate_symbols,
     _fft_len,
     _peak_delay,
-    _trial_generators,
     delayed_clipped_stream,
     rmse_vs_crb,
     verify_clipping_model,
@@ -166,22 +165,6 @@ def oracle_clipping_rows(cfg, b, p, trials, seed):
                  max(monte_carlo.TOL_PSD, 4.0 * float(np.max(psd_se[1:])) / psd_scale)))
     rows.append(("corr_wp_x", 0.0, emp_rho, abs(emp_rho), max(3.0 * se_rho, 1e-9)))
     return rows
-
-
-@pytest.mark.parametrize("seed", [0, 401, 2**32 - 1, 2**32, 2**64 + 3, 10**30])
-def test_trial_generators_match_list_keys(seed):
-    # the uint32 words of the key seed the generator that the list key
-    # seeds, also for seeds of more than one word
-    for key in ((seed,), (seed, 0)):
-        for t, rng in zip(range(3, 6), _trial_generators(key, range(3, 6))):
-            want = np.random.default_rng([*key, t])
-            assert rng.bit_generator.state == want.bit_generator.state
-            assert_array_equal(rng.random(4), want.random(4))
-
-
-def test_trial_generators_refuse_negative_seed():
-    with pytest.raises(ValueError, match="non-negative"):
-        _trial_generators((-1, 0), range(2))
 
 
 class TestEstimateTof:

@@ -36,6 +36,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 STATS_SIZES = (256, 1024, 4096)
+DUAL_SCENARIOS = ("desk.json", "desk_sense.json")
 
 # One clipping-statistics call at each N, in a fresh interpreter on the
 # checkout's src/: power evenly on the lower 70% of the data band (the
@@ -64,25 +65,28 @@ print(json.dumps(out))
 
 
 # One dual_iterate_comm and one dual_iterate_sense call, each timed the
-# same way, on the checkout's scenarios/desk.json SNRs at the uniform
-# allocation and the desk solution's bias.  The floors (12 cm, 0.5 bps/Hz,
-# those of the desk solve and the desk P2 sweep) are in the coupled case
-# there, which the code checks before timing.
+# same way, on the desk SNRs at the uniform allocation and the desk
+# solution's bias.  p_max and the floors are those of scenarios/desk.json
+# (comm) and scenarios/desk_sense.json (sense); both lie in the coupled
+# case there, which the code checks before timing.
 DUAL_CODE = """\
 import json, statistics, sys, time
 import numpy as np
-from fso_isac.allocator import (ProblemSpec, dual_iterate_comm, dual_iterate_sense,
+from fso_isac.allocator import (_subcarrier_weights, dual_iterate_comm, dual_iterate_sense,
                                 sensing_lp, waterfill_comm)
 from fso_isac.scenario import load_scenario
-model = load_scenario(sys.argv[1]).model()
-cfg, p_max = model.cfg, 0.04
+comm, sense = (load_scenario(path) for path in json.loads(sys.argv[1]))
+model, p_max = comm.model(), comm.problem.p_max
+if sense.model() != model or sense.problem.p_max != p_max:
+    raise SystemExit("the two scenarios differ in more than their floors")
+cfg = model.cfg
 n = cfg.n_data_subcarriers
 snr = model.snr(0.175, np.full(n, 0.5 / n))
-gamma_c, k2gs = snr.gamma_c, np.arange(1, n + 1.0) ** 2 * snr.gamma_s
+gamma_c, k2gs = snr.gamma_c, _subcarrier_weights(n) * snr.gamma_s
 p_wf, mu0 = waterfill_comm(gamma_c, p_max)
 p_lp = sensing_lp(snr.gamma_s, p_max)
-info = ProblemSpec.comm_centric(0.12, p_max).info_threshold(cfg)
-cap = ProblemSpec.sensing_centric(0.5, p_max).capacity_threshold_nats(cfg)
+info = comm.problem.info_threshold(cfg)
+cap = sense.problem.capacity_threshold_nats(cfg)
 s0, c0 = float(np.sum(k2gs * p_wf)), float(np.sum(np.log1p(gamma_c * p_lp)))
 if not s0 < info <= float(np.sum(k2gs * p_lp)):
     raise SystemExit("the comm floor is not in the coupled case")
@@ -154,8 +158,10 @@ def clipping_stats_ms(checkout: Path) -> dict:
 
 def dual_solve_ms(checkout: Path) -> dict:
     """Median and fastest of 101 timed calls of `dual_iterate_comm` and of
-    `dual_iterate_sense` on desk, in ms: the north star's one dual solve."""
-    return layer_timing(checkout, DUAL_CODE, str(checkout / "scenarios" / "desk.json"))
+    `dual_iterate_sense` on desk, in ms: the north star's one dual solve.
+    The scenarios are this tree's, so every revision times the same inputs."""
+    scenarios = [str(ROOT / "scenarios" / name) for name in DUAL_SCENARIOS]
+    return layer_timing(checkout, DUAL_CODE, json.dumps(scenarios))
 
 
 def quartiles(values: list) -> dict:
